@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -156,9 +157,12 @@ def _resolve_resolution(args, config) -> float:
         value = args.arc_resolution
     else:
         value = config.get("arc_resolution_mm", DEFAULT_ARC_RESOLUTION)
-    value = float(value)
-    if value <= 0.0:
-        raise ValueError(f"arc resolution must be positive, got {value!r}")
+    try:
+        value = float(value)
+    except TypeError:
+        raise ValueError(f"arc resolution must be a number, got {value!r}") from None
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValueError(f"arc resolution must be positive and finite, got {value!r}")
     return value
 
 

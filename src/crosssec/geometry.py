@@ -31,6 +31,11 @@ DEFAULT_ARC_RESOLUTION = 1e-4
 #: degenerate geometry (zero strip width) survive floating-point roundoff.
 _BOUNDARY_RTOL = 1e-12
 
+_FULL_TURN = 2.0 * math.pi
+
+#: Roundoff by which a full-circle side arc angle may exceed 2 pi.
+_FULL_TURN_SLACK = 4.0 * math.ulp(_FULL_TURN)
+
 
 def _require_positive(obj, *fields):
     for name in fields:
@@ -405,6 +410,10 @@ def _assemble(spec: DesignSpec, fab: FabricationParams,
     )
     r_s = 0.5 * s
     theta_s = fab.side_arc_length / r_s
+    if _FULL_TURN < theta_s <= _FULL_TURN + _FULL_TURN_SLACK:
+        # zero strip width: the side arc closes a full circle, and the
+        # division above can round past 2 pi by an ulp or two
+        theta_s = _FULL_TURN
     conj = 2.0 * math.pi - theta_s
     width_s = r_s * (1.0 + math.cos(0.5 * conj))
     width = width_c + 2.0 * width_s

@@ -120,6 +120,32 @@ class TestForwardShape:
             {k: float(v) for k, v in config["spec"].items()}, sort_keys=True)
 
 
+class TestArcResolution:
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "arc resolution must be positive and finite"),
+        ("inf", "arc resolution must be positive and finite"),
+        ("1e-300", "segments at max_sagitta 1e-300"),
+    ])
+    def test_unusable_flag_exit_1(self, value, message):
+        out = run_cli("forward", "--sc", 152, "--ss", 127, "--l", 76.2,
+                      "--arc-resolution", value)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert len(out.stderr.strip().splitlines()) == 1
+        assert message in out.stderr
+
+    @pytest.mark.parametrize("value", [None, "nan", [1e-4]])
+    def test_unusable_config_value_exit_1(self, tmp_path, value):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"mode": "shape", "arc_resolution_mm": value,
+                                   "spec": {"H_c_mm": 101.6, "H_s_mm": 50.8,
+                                            "w_mm": 190}}), encoding="utf-8")
+        out = run_cli("shape", "--config", job)
+        assert out.returncode == 1
+        assert len(out.stderr.strip().splitlines()) == 1
+        assert "arc resolution must be" in out.stderr
+
+
 class TestSweep:
     def test_grid_csv(self):
         out = run_cli("sweep", "--perimeter", 558,

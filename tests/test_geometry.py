@@ -9,6 +9,7 @@ from crosssec.geometry import (CenterChannel, DesignSpec, FabricationParams,
                                feasibility_discriminant, inverse_design,
                                membrane_curvature, side_channel_polygon,
                                validate_spec)
+from crosssec.solver import forward_geometry
 from conftest import FROZEN, INVERSE_190_FAB, INVERSE_190_SPEC, rel_err
 
 
@@ -181,6 +182,31 @@ class TestBuildCrossSection:
         end = 0.5 * math.pi - 0.5 * c.arc_angle
         assert c.radius * math.cos(end) == pytest.approx(join_x, rel=1e-12)
         assert c.radius * math.sin(end) == pytest.approx(join_y, rel=1e-12)
+
+
+class TestZeroStripWidth:
+    """L = 0 closes each side arc into a full circle, to roundoff."""
+
+    def test_forward_at_exact_zero_strip(self):
+        # the side arc angle S_s / (H_s / 2) used to round to 2 pi + 1 ulp
+        # and be rejected for ~6% of random arc lengths
+        rng = np.random.default_rng(2024)
+        for s_c, s_s in rng.uniform(1e-3, 1e3, size=(2000, 2)):
+            section = forward_geometry(FabricationParams(s_c, s_s, 0.0),
+                                       arc_resolution=1e-2 * s_s)
+            side = section.sides[1]
+            assert 0.0 <= 2.0 * math.pi - side.arc_angle <= 4 * math.ulp(2.0 * math.pi)
+            assert side.conjugate_angle >= 0.0
+            assert rel_err(section.width, section.center.width + 2.0 * side.height) < 1e-12
+
+    def test_tangent_specs(self):
+        rng = np.random.default_rng(2025)
+        for h in 10.0 ** rng.uniform(-3.0, 6.0, size=2000):
+            section = build_cross_section(DesignSpec(h, h, 3.0 * h),
+                                          arc_resolution=1e-2 * h)
+            angle = section.sides[1].arc_angle
+            assert angle <= 2.0 * math.pi
+            assert rel_err(angle, 2.0 * math.pi) < 1e-6
 
 
 class TestPolygonization:
