@@ -145,11 +145,32 @@ def _resolve_fab(args, config):
     return fab_from_dict(fields)
 
 
+def _typed(value, name: str, integer: bool = False):
+    """A numeric flag or config value, checked for type before use.
+
+    JSON numbers only: bools, strings and null are refused.  An integer
+    may be written without a fractional part (``1e6``); any other value
+    must be positive and finite.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if integer:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 def _resolve_solver(args, config) -> RootFindConfig:
     fields = _section_dict(config, "solver")
     abs_tol = args.abs_tol if args.abs_tol is not None else fields.get("abs_tol")
     max_iter = args.max_iter if args.max_iter is not None else fields.get("max_iter", 200)
-    return RootFindConfig(abs_tol=abs_tol, max_iter=int(max_iter))
+    if abs_tol is not None:
+        abs_tol = _typed(abs_tol, "solver abs_tol")
+    return RootFindConfig(abs_tol=abs_tol,
+                          max_iter=_typed(max_iter, "solver max_iter", integer=True))
 
 
 def _resolve_resolution(args, config) -> float:
@@ -157,13 +178,7 @@ def _resolve_resolution(args, config) -> float:
         value = args.arc_resolution
     else:
         value = config.get("arc_resolution_mm", DEFAULT_ARC_RESOLUTION)
-    try:
-        value = float(value)
-    except TypeError:
-        raise ValueError(f"arc resolution must be a number, got {value!r}") from None
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"arc resolution must be positive and finite, got {value!r}")
-    return value
+    return _typed(value, "arc resolution")
 
 
 def _output_path(args, config, attr: str, key: str) -> str | None:
@@ -268,9 +283,10 @@ def _cmd_oracle(args, config) -> int:
         raise ValueError("oracle needs --sc and --l (or config fab)")
     grid_points = args.grid_points if args.grid_points is not None \
         else oracle_cfg.get("grid_points", 1_000_000)
-    result = area_max_oracle(float(s_c), float(strip), int(grid_points),
+    grid_points = _typed(grid_points, "oracle grid_points", integer=True)
+    result = area_max_oracle(float(s_c), float(strip), grid_points,
                              _resolve_solver(args, config))
-    _emit_json(oracle_to_dict(float(s_c), float(strip), int(grid_points), result),
+    _emit_json(oracle_to_dict(float(s_c), float(strip), grid_points, result),
                args, config)
     return 0
 

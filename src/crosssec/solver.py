@@ -20,7 +20,7 @@ from .geometry import CrossSection, DesignSpec, FabricationParams, \
 __all__ = [
     "RootFindConfig", "OracleResult", "center_area", "center_area_derivative",
     "solve_center_arc_angle", "solve_side_height", "forward_geometry",
-    "area_max_oracle",
+    "area_max_oracle", "MAX_GRID_POINTS",
 ]
 
 #: Open lower end of the center-angle bracket (rad).
@@ -28,6 +28,9 @@ _ANGLE_EPS = 1e-9
 
 #: End clearance of the oracle grid (rad).
 _GRID_EPS = 1e-6
+
+#: Largest oracle grid; a scan costs about 25 ns per point.
+MAX_GRID_POINTS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -231,17 +234,21 @@ def area_max_oracle(arc_length: float, strip_width: float,
 
     Scans the center-area function on a uniform grid over
     (1e-6, 2*pi - 1e-6) rad and compares the raw grid argmax against the
-    analytic root.  The scan runs on the compiled kernel when available
-    (NumPy otherwise); both keep the smallest angle on ties, so results
-    do not depend on the backend's internals.
+    analytic root.  The scan (:mod:`crosssec.kernels`) runs in fixed-size
+    chunks, so its memory does not grow with ``grid_points``; ties keep
+    the smallest angle.
 
     Raises:
-        ValueError: grid_points < 1000 or bad scalars.
+        ValueError: grid_points < 1000 or > MAX_GRID_POINTS, or bad
+            scalars.
         OracleMismatch: argmax farther than one grid step from the root;
             indicates a bug, never a property of valid inputs.
     """
     if grid_points < 1000:
         raise ValueError(f"grid_points >= 1000 required, got {grid_points!r}")
+    if grid_points > MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid_points <= {MAX_GRID_POINTS} required, got {grid_points:.9g}")
     root = solve_center_arc_angle(arc_length, strip_width, cfg)
     lo = _GRID_EPS
     hi = 2.0 * math.pi - _GRID_EPS

@@ -145,6 +145,48 @@ class TestArcResolution:
         assert len(out.stderr.strip().splitlines()) == 1
         assert "arc resolution must be" in out.stderr
 
+    @pytest.mark.parametrize("mode, section, value, message", [
+        ("forward", {"max_iter": None}, None, "max_iter must be a number"),
+        ("forward", {"max_iter": True}, None, "max_iter must be a number"),
+        ("forward", {"max_iter": 20.5}, None, "max_iter must be an integer"),
+        ("forward", {"max_iter": "200"}, None, "max_iter must be a number"),
+        ("forward", {"abs_tol": "1e-3"}, None, "abs_tol must be a number"),
+        ("forward", {"abs_tol": True}, None, "abs_tol must be a number"),
+        ("forward", {"abs_tol": -1e-3}, None, "abs_tol must be positive"),
+        ("forward", {"abs_tol": 1e400}, None, "abs_tol must be positive"),
+        ("oracle", None, None, "grid_points must be a number"),
+        ("oracle", None, True, "grid_points must be a number"),
+        ("oracle", None, 1500.7, "grid_points must be an integer"),
+        ("oracle", None, "1000", "grid_points must be a number"),
+        ("oracle", None, 1e300, "grid_points <= 100000000 required"),
+        ("oracle", None, 1_000_000_000, "grid_points <= 100000000 required"),
+    ])
+    def test_unusable_solver_or_grid_value_exit_1(self, tmp_path, mode,
+                                                  section, value, message):
+        config = {"mode": mode,
+                  "fab": {"S_c_mm": 152.0, "S_s_mm": 127.0, "L_mm": 76.2}}
+        if mode == "forward":
+            config["solver"] = section
+        else:
+            config["oracle"] = {"grid_points": value}
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(config), encoding="utf-8")
+        out = run_cli(mode, "--config", job)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert len(out.stderr.strip().splitlines()) == 1
+        assert message in out.stderr
+
+    def test_integral_float_config_values_accepted(self, tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "fab": {"S_c_mm": 152.0, "L_mm": 76.2},
+            "oracle": {"grid_points": 1e4}, "solver": {"max_iter": 200.0}}),
+            encoding="utf-8")
+        out = run_cli("oracle", "--config", job)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["grid_points"] == 10000
+
 
 class TestSweep:
     def test_grid_csv(self):
@@ -211,6 +253,22 @@ class TestOracle:
         out = run_cli("oracle", "--sc", 152, "--l", 76.2, "--grid-points", 10)
         assert out.returncode == 1
         assert "grid_points >= 1000 required" in out.stderr
+
+    def test_grid_above_cap_exit_1(self):
+        out = run_cli("oracle", "--sc", 152, "--l", 76.2,
+                      "--grid-points", 1_000_000_000)
+        assert out.returncode == 1
+        assert len(out.stderr.strip().splitlines()) == 1
+        assert "grid_points <= 100000000 required" in out.stderr
+
+    def test_docs_job_stdout_frozen(self):
+        # stdout of the whole-grid NumPy scan that the chunked kernel
+        # replaced, captured byte for byte
+        out = run_cli("oracle", "--config", "docs/examples/job_oracle.json")
+        assert out.returncode == 0, out.stderr
+        frozen = (REPO / "tests/data/job_oracle.stdout.json").read_text(
+            encoding="utf-8")
+        assert out.stdout == frozen
 
 
 class TestCompare:
