@@ -129,6 +129,9 @@ def _resolve_spec(args, config):
         value = getattr(args, flag, None)
         if value is not None:
             fields[key] = value
+        if key in fields:
+            # range and feasibility are the spec validator's to report
+            fields[key] = _typed(fields[key], key, "real")
     if not fields:
         raise ValueError("no spec given: use --hc/--hs/--w or a config 'spec'")
     return spec_from_dict(fields)
@@ -140,27 +143,40 @@ def _resolve_fab(args, config):
         value = getattr(args, flag, None)
         if value is not None:
             fields[key] = value
+        if key in fields:
+            fields[key] = _typed(fields[key], key, "real")
     if not fields:
         raise ValueError("no fab params given: use --sc/--ss/--l or a config 'fab'")
     return fab_from_dict(fields)
 
 
-def _typed(value, name: str, integer: bool = False):
+def _typed(value, name: str, kind: str = "positive"):
     """A numeric flag or config value, checked for type before use.
 
-    JSON numbers only: bools, strings and null are refused.  An integer
-    may be written without a fractional part (``1e6``); any other value
-    must be positive and finite.
+    JSON numbers only: bools, strings and null are refused, and so are
+    integers beyond the float range.  ``kind`` says what else is checked:
+    ``"integer"``, an integral value, which may be written without a
+    fractional part (``1e6``); ``"positive"`` or ``"non-negative"``, a
+    finite value of that sign; ``"real"``, nothing more, for values whose
+    range the caller reports on itself.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if integer:
-        if isinstance(value, float) and not value.is_integer():
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of range") from None
+    if kind == "integer":
+        if not number.is_integer():
             raise ValueError(f"{name} must be an integer, got {value!r}")
         return int(value)
-    if not math.isfinite(value) or value <= 0.0:
+    if kind == "positive" and not (math.isfinite(number) and number > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
+    if kind == "non-negative" and not (math.isfinite(number)
+                                       and number >= 0.0):
+        raise ValueError(
+            f"{name} must be non-negative and finite, got {value!r}")
+    return number
 
 
 def _resolve_solver(args, config) -> RootFindConfig:
@@ -170,7 +186,7 @@ def _resolve_solver(args, config) -> RootFindConfig:
     if abs_tol is not None:
         abs_tol = _typed(abs_tol, "solver abs_tol")
     return RootFindConfig(abs_tol=abs_tol,
-                          max_iter=_typed(max_iter, "solver max_iter", integer=True))
+                          max_iter=_typed(max_iter, "solver max_iter", "integer"))
 
 
 def _resolve_resolution(args, config) -> float:
@@ -209,7 +225,10 @@ def _parse_grid(value, name: str) -> list[float]:
             return [float(p) for p in parts]
         except ValueError:
             raise ValueError(f"{name}: expected numbers, got {value!r}") from None
-    return [float(v) for v in value]
+    if not isinstance(value, list):
+        raise ValueError(f"{name}: expected a list of numbers, got {value!r}")
+    # sign and finiteness are per-cell feasibility, reported in the CSV
+    return [_typed(v, name, "real") for v in value]
 
 
 def _maybe_render(section, args, config) -> None:
@@ -266,7 +285,8 @@ def _cmd_sweep(args, config) -> int:
                        "--sc / sweep.S_c_mm")
     strips = _parse_grid(args.l if args.l is not None else sweep_cfg.get("L_mm"),
                          "--l / sweep.L_mm")
-    records = sweep_constant_perimeter(float(perimeter), arcs, strips,
+    records = sweep_constant_perimeter(_typed(perimeter, "sweep perimeter_mm"),
+                                       arcs, strips,
                                        _resolve_solver(args, config))
     text = sweep_to_csv(records)
     sys.stdout.write(text)
@@ -283,11 +303,12 @@ def _cmd_oracle(args, config) -> int:
         raise ValueError("oracle needs --sc and --l (or config fab)")
     grid_points = args.grid_points if args.grid_points is not None \
         else oracle_cfg.get("grid_points", 1_000_000)
-    grid_points = _typed(grid_points, "oracle grid_points", integer=True)
-    result = area_max_oracle(float(s_c), float(strip), grid_points,
+    grid_points = _typed(grid_points, "oracle grid_points", "integer")
+    s_c = _typed(s_c, "S_c_mm")
+    strip = _typed(strip, "L_mm", "non-negative")
+    result = area_max_oracle(s_c, strip, grid_points,
                              _resolve_solver(args, config))
-    _emit_json(oracle_to_dict(float(s_c), float(strip), grid_points, result),
-               args, config)
+    _emit_json(oracle_to_dict(s_c, strip, grid_points, result), args, config)
     return 0
 
 
@@ -317,6 +338,7 @@ def _cmd_force(args, config) -> int:
         else force_cfg.get("pressure_kpa")
     if pressure is None:
         raise ValueError("force needs --pressure-kpa")
+    pressure = _typed(pressure, "pressure_kpa", "non-negative")
     area = args.area_mm2 if args.area_mm2 is not None else force_cfg.get("area_mm2")
     if area is None:
         resolution = _resolve_resolution(args, config)
@@ -331,10 +353,11 @@ def _cmd_force(args, config) -> int:
             raise ValueError(
                 "force needs an area: --area-mm2, fab params or a spec")
         area = total_area(section, resolution)
+    area = _typed(area, "area_mm2", "non-negative")
     doc = {
-        "pressure_kpa": float(pressure),
-        "area_mm2": float(area),
-        "force_n": eversion_force(float(pressure), float(area)),
+        "pressure_kpa": pressure,
+        "area_mm2": area,
+        "force_n": eversion_force(pressure, area),
     }
     _emit_json(doc, args, config)
     return 0

@@ -29,7 +29,8 @@ _ANGLE_EPS = 1e-9
 #: End clearance of the oracle grid (rad).
 _GRID_EPS = 1e-6
 
-#: Largest oracle grid; a scan costs about 25 ns per point.
+#: Largest oracle grid; a scan costs about 35 ns per point on one CPU and
+#: about 20 ns on two (2-CPU Xeon VM), so this one takes 2 to 4 s.
 MAX_GRID_POINTS = 100_000_000
 
 
@@ -234,9 +235,11 @@ def area_max_oracle(arc_length: float, strip_width: float,
 
     Scans the center-area function on a uniform grid over
     (1e-6, 2*pi - 1e-6) rad and compares the raw grid argmax against the
-    analytic root.  The scan (:mod:`crosssec.kernels`) runs in fixed-size
-    chunks, so its memory does not grow with ``grid_points``; ties keep
-    the smallest angle.
+    analytic root.  The scan (:mod:`crosssec.kernels`) runs on one thread
+    per usable CPU (fewer on small grids), in chunks that share a fixed
+    budget of about 2 MB, so its memory grows neither with
+    ``grid_points`` nor with the CPU count.  Ties keep the smallest
+    angle, and the result is bit for bit the same on any number of CPUs.
 
     Raises:
         ValueError: grid_points < 1000 or > MAX_GRID_POINTS, or bad

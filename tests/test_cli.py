@@ -1,10 +1,13 @@
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (FROZEN, INVERSE_190_FAB, INVERSE_190_SPEC, REPO,
                       rel_err, run_cli)
+from crosssec import cli
 
 
 class TestInverse:
@@ -186,6 +189,150 @@ class TestArcResolution:
         out = run_cli("oracle", "--config", job)
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["grid_points"] == 10000
+
+
+class TestTypedJobNumbers:
+    # numbers that used to reach a bare float() and end in a TypeError
+    @pytest.mark.parametrize("mode, config, message", [
+        ("oracle", {"fab": {"S_c_mm": [152], "L_mm": 76.2}},
+         "S_c_mm must be a number"),
+        ("oracle", {"fab": {"S_c_mm": 152, "L_mm": "76.2"}},
+         "L_mm must be a number"),
+        ("oracle", {"fab": {"S_c_mm": 152, "L_mm": -1.0}},
+         "L_mm must be non-negative and finite"),
+        ("oracle", {"fab": {"S_c_mm": math.inf, "L_mm": 76.2}},
+         "S_c_mm must be positive and finite"),
+        ("oracle", {"fab": {"S_c_mm": 152, "L_mm": 76.2},
+                    "oracle": {"grid_points": 10**400}},
+         "grid_points is out of range"),
+        ("force", {"force": {"pressure_kpa": [34], "area_mm2": 100}},
+         "pressure_kpa must be a number"),
+        ("force", {"force": {"pressure_kpa": "34", "area_mm2": 100}},
+         "pressure_kpa must be a number"),
+        ("force", {"force": {"pressure_kpa": math.nan, "area_mm2": 100}},
+         "pressure_kpa must be non-negative and finite"),
+        ("force", {"force": {"pressure_kpa": 34, "area_mm2": True}},
+         "area_mm2 must be a number"),
+        ("force", {"force": {"pressure_kpa": 34, "area_mm2": -5}},
+         "area_mm2 must be non-negative and finite"),
+        ("sweep", {"sweep": {"perimeter_mm": 558, "S_c_mm": [127, None],
+                             "L_mm": [50.8]}}, "S_c_mm must be a number"),
+        ("sweep", {"sweep": {"perimeter_mm": 558, "S_c_mm": [127],
+                             "L_mm": [False]}}, "L_mm must be a number"),
+        ("sweep", {"sweep": {"perimeter_mm": 558, "S_c_mm": 127,
+                             "L_mm": [50.8]}}, "expected a list of numbers"),
+        ("sweep", {"sweep": {"perimeter_mm": [558], "S_c_mm": [127],
+                             "L_mm": [50.8]}}, "perimeter_mm must be a number"),
+        ("sweep", {"sweep": {"perimeter_mm": -558, "S_c_mm": [127],
+                             "L_mm": [50.8]}},
+         "perimeter_mm must be positive and finite"),
+    ])
+    def test_bad_number_exit_1(self, tmp_path, capsys, mode, config, message):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main([mode, "--config", str(job)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert message in err
+
+    @pytest.mark.parametrize("mode, config", [
+        ("oracle", {"fab": {"S_c_mm": 1, "L_mm": 0},
+                    "oracle": {"grid_points": 1000}}),
+        ("force", {"force": {"pressure_kpa": 0, "area_mm2": 0}}),
+        ("sweep", {"sweep": {"perimeter_mm": 558, "S_c_mm": [152, 0],
+                             "L_mm": [0, 76.2]}}),
+    ])
+    def test_zero_where_allowed_exit_0(self, tmp_path, capsys, mode, config):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main([mode, "--config", str(job)]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def _field(valid):
+    # a small valid number, or a value a numeric field must refuse or
+    # report on: null, bools, strings, lists, negative, zero, non-finite,
+    # an integer beyond the float range
+    bad = st.one_of(
+        st.none(), st.booleans(), st.text(max_size=6),
+        st.lists(st.floats(0.0, 10.0), max_size=2),
+        st.floats(-1e3, -1e-3),
+        st.sampled_from([0, 0.0, -0.0, math.nan, math.inf, -math.inf,
+                         10**400]))
+    return st.one_of(valid, bad)
+
+
+def _fab(keys=("S_c_mm", "S_s_mm", "L_mm")):
+    ranges = {"S_c_mm": st.floats(50.0, 300.0),
+              "S_s_mm": st.floats(50.0, 300.0),
+              "L_mm": st.floats(0.0, 150.0)}
+    return st.fixed_dictionaries({k: _field(ranges[k]) for k in keys})
+
+
+_SPEC = st.fixed_dictionaries({"H_c_mm": _field(st.floats(50.0, 150.0)),
+                               "H_s_mm": _field(st.floats(20.0, 100.0)),
+                               "w_mm": _field(st.floats(50.0, 300.0))})
+_SOLVER = st.fixed_dictionaries({}, optional={
+    "abs_tol": _field(st.floats(1e-12, 1e-3)),
+    "max_iter": _field(st.integers(1, 300))})
+_RESOLUTION = _field(st.floats(1e-3, 1.0))
+_GRID = st.one_of(st.lists(_field(st.floats(0.0, 400.0)), min_size=1,
+                           max_size=3), _field(st.floats(0.0, 400.0)))
+
+_JOBS = {
+    "inverse": st.fixed_dictionaries(
+        {"spec": _SPEC}, optional={"arc_resolution_mm": _RESOLUTION}),
+    "shape": st.fixed_dictionaries(
+        {"spec": _SPEC}, optional={"arc_resolution_mm": _RESOLUTION}),
+    "forward": st.fixed_dictionaries(
+        {"fab": _fab()},
+        optional={"solver": _SOLVER, "arc_resolution_mm": _RESOLUTION}),
+    "sweep": st.fixed_dictionaries(
+        {"sweep": st.fixed_dictionaries(
+            {"perimeter_mm": _field(st.floats(100.0, 1000.0)),
+             "S_c_mm": _GRID, "L_mm": _GRID})},
+        optional={"solver": _SOLVER}),
+    "oracle": st.fixed_dictionaries(
+        {"fab": _fab(("S_c_mm", "L_mm")),
+         "oracle": st.fixed_dictionaries(
+             {"grid_points": _field(st.integers(1000, 5000))})},
+        optional={"solver": _SOLVER}),
+    "compare": st.fixed_dictionaries(
+        {"fab": _fab(),
+         "compare": st.just(
+             {"outline_csv": str(REPO / "docs/examples/outline.csv")})},
+        optional={"solver": _SOLVER, "arc_resolution_mm": _RESOLUTION}),
+    "force": st.fixed_dictionaries(
+        {"force": st.fixed_dictionaries(
+            {"pressure_kpa": _field(st.floats(0.0, 100.0))},
+            optional={"area_mm2": _field(st.floats(0.0, 1e5))}),
+         "fab": _fab()},
+        optional={"arc_resolution_mm": _RESOLUTION}),
+}
+
+
+class TestFuzzedJobConfigs:
+    # capsys is drained at the start of every example, so sharing the
+    # function-scoped fixture across examples is safe
+    @pytest.mark.parametrize("mode", sorted(_JOBS))
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_config_ends_in_an_exit_code(self, tmp_path_factory,
+                                               capsys, mode, data):
+        config = data.draw(_JOBS[mode], label="config")
+        job = tmp_path_factory.getbasetemp() / f"fuzz_{mode}.json"
+        job.write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        # a warning would print more lines to stderr, so it fails here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([mode, "--config", str(job)])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert len(err.splitlines()) <= 1
+        assert "Traceback" not in out + err
 
 
 class TestSweep:

@@ -1,4 +1,7 @@
+import collections
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +19,10 @@ LO, HI = 1e-6, 2.0 * math.pi - 1e-6
 CASES = [(152.0, 76.2), (127.0, 50.8), (1.0, 0.0), (300.0, 10.0), (5.0, 4.9)]
 
 CHUNK = kernels.CHUNK
+
+#: Worker counts the threaded scan is forced to, so that a runner with
+#: one CPU still exercises the helper threads.
+WORKERS = [1, 2, 3, 5]
 
 
 def _area_grid(arc_length, strip_width, theta):
@@ -37,6 +44,55 @@ def reference_argmax(arc_length, strip_width, n, lo, hi):
     area = _area_grid(arc_length, strip_width, lo + step * np.arange(n))
     i = int(np.argmax(area))
     return i, lo + step * i, float(area[i])
+
+
+def _chunk_size(n):
+    # one worker per CPU, each with at least one full CHUNK of the grid,
+    # sharing the CHUNK budget
+    workers = max(1, min(kernels._workers(), n // kernels.CHUNK))
+    return min(n, max(1, kernels.CHUNK // workers))
+
+
+def _record_chunks(monkeypatch, hook=None):
+    # wrap _area_chunk, recording each chunk's first angle and length;
+    # ``hook(theta, out)`` runs after the real evaluation
+    seen = collections.Counter()
+    lock = threading.Lock()
+    real = kernels._area_chunk
+
+    def recording(s, l, theta, out, tmp):
+        real(s, l, theta, out, tmp)
+        with lock:
+            seen[float(theta[0]), theta.size] += 1
+        if hook is not None:
+            hook(theta, out)
+
+    monkeypatch.setattr(kernels, "_area_chunk", recording)
+    return seen
+
+
+def _expected_chunks(n, lo, hi):
+    step = (hi - lo) / (n - 1)
+    size = _chunk_size(n)
+    return collections.Counter(
+        (lo + step * float(start), min(size, n - start))
+        for start in range(0, n, size))
+
+
+def _scan_peak(n):
+    tracemalloc.start()
+    try:
+        kernels.center_area_grid_argmax(152.0, 76.2, n, LO, HI)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.fixture(params=WORKERS, ids=lambda w: f"{w}workers")
+def forced_workers(request, monkeypatch):
+    monkeypatch.setattr(kernels, "_workers", lambda: request.param)
+    return request.param
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -63,8 +119,8 @@ class TestGridArgmax:
 
 
 class TestChunkedScan:
-    @pytest.mark.parametrize("n", [2, 3, CHUNK - 1, CHUNK, CHUNK + 1,
-                                   3 * CHUNK + 7])
+    @pytest.mark.parametrize("n", [2, 3, 1000, CHUNK - 1, CHUNK, CHUNK + 1,
+                                   2 * CHUNK, 3 * CHUNK + 7, 10**6])
     @pytest.mark.parametrize("arc,strip", CASES)
     def test_bit_identical_to_whole_grid(self, arc, strip, n):
         got = kernels.center_area_grid_argmax(arc, strip, n, LO, HI)
@@ -80,8 +136,8 @@ class TestChunkedScan:
 
     def test_tie_across_chunk_boundary_keeps_first_index(self, monkeypatch):
         # a step of 1/5 ulp repeats each angle about five times, so the
-        # maximum is a run of equal areas; with 10-point chunks that run
-        # crosses a chunk boundary
+        # maximum is a run of equal areas; with a 10-point budget that run
+        # crosses a chunk boundary at every worker count
         arc, strip = 152.0, 76.2
         root = solve_center_arc_angle(arc, strip)
         lo = root - 8 * math.ulp(root)
@@ -93,7 +149,8 @@ class TestChunkedScan:
         area = _area_grid(arc, strip, lo + step * np.arange(n))
         ties = np.flatnonzero(area == want[2])
         assert ties[0] == want[0]
-        assert ties[0] // 10 < ties[-1] // 10
+        size = _chunk_size(n)
+        assert ties[0] // size < ties[-1] // size
         assert kernels.center_area_grid_argmax(arc, strip, n, lo, hi) == want
 
     def test_constant_grid_keeps_first_index(self, monkeypatch):
@@ -116,16 +173,128 @@ class TestChunkedScan:
         assert got == reference_argmax(arc, strip, n, lo, lo + span)
 
     def test_memory_does_not_grow_with_grid(self):
-        tracemalloc.start()
-        try:
-            kernels.center_area_grid_argmax(152.0, 76.2, 4_000_000, LO, HI)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert _scan_peak(4_000_000) < 4 * 2**20
 
     def test_nan_area_wins_like_numpy_argmax(self):
         got = kernels.center_area_grid_argmax(math.nan, 1.0, 10, LO, HI)
         want = reference_argmax(math.nan, 1.0, 10, LO, HI)
         assert got[:2] == want[:2] == (0, LO)
         assert math.isnan(got[2]) and math.isnan(want[2])
+
+    @pytest.mark.parametrize("n", [3 * CHUNK + 7, 10**6])
+    def test_every_chunk_scanned_exactly_once(self, monkeypatch, n):
+        seen = _record_chunks(monkeypatch)
+        got = kernels.center_area_grid_argmax(152.0, 76.2, n, LO, HI)
+        assert seen == _expected_chunks(n, LO, HI)
+        assert got == reference_argmax(152.0, 76.2, n, LO, HI)
+
+    def test_first_nan_wins_across_chunks(self, monkeypatch):
+        # NaN areas at grid points 57 and 123, in different chunks; the
+        # step is 1/64, so each chunk's first index is exact
+        n, lo = 200, 1.0
+        hi = lo + (n - 1) / 64
+        nan_at = (57, 123)
+
+        def poison(theta, out):
+            first = int((theta[0] - lo) * 64)
+            for k in nan_at:
+                if first <= k < first + theta.size:
+                    out[k - first] = math.nan
+
+        monkeypatch.setattr(kernels, "CHUNK", 10)
+        _record_chunks(monkeypatch, poison)
+        step = (hi - lo) / (n - 1)
+        area = _area_grid(5.0, 4.9, lo + step * np.arange(n))
+        area[list(nan_at)] = math.nan
+        assert int(np.argmax(area)) == nan_at[0]
+        idx, theta, best = kernels.center_area_grid_argmax(5.0, 4.9, n, lo, hi)
+        assert (idx, theta) == (nan_at[0], lo + step * nan_at[0])
+        assert math.isnan(best)
+
+    def test_exception_in_a_chunk_reaches_the_caller(self, monkeypatch,
+                                                     capsys):
+        def fail(theta, out):
+            if theta[0] > 3.0:
+                raise RuntimeError("chunk failed")
+
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        _record_chunks(monkeypatch, fail)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            kernels.center_area_grid_argmax(1.0, 0.0, 5000, LO, HI)
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.usefixtures("forced_workers")
+class TestGridArgmaxForcedWorkers(TestGridArgmax):
+    """TestGridArgmax again at each forced worker count, with a small
+    CHUNK so that its 50 000-point grids are scanned by every worker."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunk(self, monkeypatch):
+        monkeypatch.setattr(kernels, "CHUNK", 1 << 12)
+
+
+@pytest.mark.usefixtures("forced_workers")
+class TestChunkedScanForcedWorkers(TestChunkedScan):
+    """TestChunkedScan again at each forced worker count."""
+
+
+class TestHelperThreads:
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_exception_in_a_helper_reaches_the_caller(self, monkeypatch,
+                                                      capsys, workers):
+        # the calling thread holds its first chunk until a helper has
+        # failed, so a helper is sure to scan (and fail on) a chunk
+        caller = threading.get_ident()
+        failed = threading.Event()
+
+        def fail_off_caller(theta, out):
+            if threading.get_ident() == caller:
+                assert failed.wait(timeout=10)
+            else:
+                failed.set()
+                raise RuntimeError("helper failed")
+
+        monkeypatch.setattr(kernels, "_workers", lambda: workers)
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        _record_chunks(monkeypatch, fail_off_caller)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            kernels.center_area_grid_argmax(152.0, 76.2, 5000, LO, HI)
+        assert failed.is_set()
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err == ""
+
+    def test_scan_completes_when_no_thread_can_start(self, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(kernels, "_workers", lambda: 4)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        n = 3 * CHUNK + 7
+        seen = _record_chunks(monkeypatch)
+        got = kernels.center_area_grid_argmax(152.0, 76.2, n, LO, HI)
+        assert seen == _expected_chunks(n, LO, HI)
+        assert got == reference_argmax(152.0, 76.2, n, LO, HI)
+
+    def test_many_workers_claim_each_chunk_once(self, monkeypatch):
+        # more workers than CPUs and a short switch interval, so that
+        # claims interleave; a lost or doubled claim breaks the count
+        monkeypatch.setattr(kernels, "_workers", lambda: 8)
+        monkeypatch.setattr(kernels, "CHUNK", 16)
+        n = 20_000
+        seen = _record_chunks(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = kernels.center_area_grid_argmax(152.0, 76.2, n, LO, HI)
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == _expected_chunks(n, LO, HI)
+        assert got == reference_argmax(152.0, 76.2, n, LO, HI)
+
+    def test_memory_does_not_grow_with_workers(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_workers", lambda: 8)
+        assert _scan_peak(4_000_000) < 4 * 2**20
