@@ -13,9 +13,9 @@ from .analysis import (ErgonomicReport, SweepRecord, area_ratio,
                        ergonomic_index, eversion_force,
                        sweep_constant_perimeter, total_area)
 from ._arcmath import center_area, center_area_derivative, strip_fit_residual
-from .errors import (CrossSecError, DegeneratePolygon, DomainError,
-                     InfeasibleSpec, NoBracket, NonConvergence,
-                     NonpositiveTension, OracleMismatch, SolverError)
+from .errors import (CrossSecError, DegeneratePolygon, InfeasibleSpec,
+                     NoBracket, NonConvergence, NonpositiveTension,
+                     OracleMismatch, SolverError)
 from .geometry import (CenterChannel, CrossSection, DesignSpec,
                        FabricationParams, FeasibilityReport, SideChannel,
                        build_cross_section, cross_section_outline,
@@ -36,7 +36,6 @@ __all__ = [
     "CrossSection",
     "DegeneratePolygon",
     "DesignSpec",
-    "DomainError",
     "ErgonomicReport",
     "FabricationParams",
     "FeasibilityReport",

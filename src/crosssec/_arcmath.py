@@ -6,7 +6,35 @@ the constraining-strip width ``l`` (mm) and the arc angle ``theta`` (rad).
 
 import math
 
+from .errors import check_number
+
+#: Below this angle (rad) the closed form cancels catastrophically and the
+#: series expansions of both theta^-2 factors take over.
 SERIES_CUTOFF = 1e-4
+
+
+def check_arc(arc_length, strip_width) -> tuple[float, float]:
+    """``(arc_length, strip_width)`` as floats, or ValueError unless the
+    arc length is positive and the strip width non-negative, both finite."""
+    return (check_number(arc_length, "arc_length", "positive"),
+            check_number(strip_width, "strip_width", "non-negative"))
+
+
+def _check_domain(arc_length, strip_width, arc_angle):
+    # the closed forms' domain: check_arc's, and an angle in (0, 2*pi)
+    s, l = check_arc(arc_length, strip_width)
+    theta = check_number(arc_angle, "arc_angle", "positive")
+    if not theta < 2.0 * math.pi:
+        raise ValueError(f"arc_angle must lie in (0, 2*pi), got {arc_angle!r}")
+    return s, l, theta
+
+
+def series_area(s, l, theta):
+    """``center_area`` by series of both theta^-2 factors, for angles
+    below ``SERIES_CUTOFF``; ``theta`` may be a float or a NumPy array."""
+    base = theta / 6.0 - theta**3 / 120.0 + theta**5 / 5040.0
+    chord = 0.5 - theta * theta / 48.0 + theta**4 / 3840.0
+    return s * s * base + 2.0 * s * l * chord
 
 
 def center_area(arc_length: float, strip_width: float, arc_angle: float) -> float:
@@ -18,27 +46,18 @@ def center_area(arc_length: float, strip_width: float, arc_angle: float) -> floa
         area = s^2 (theta - sin theta) / theta^2 + 2 s l sin(theta/2) / theta
 
     Below ``SERIES_CUTOFF`` rad both theta^-2 factors are evaluated by
-    series to dodge catastrophic cancellation in ``theta - sin theta``.
+    series (:func:`series_area`) to dodge catastrophic cancellation in
+    ``theta - sin theta``.
 
     Raises:
         ValueError: outside the domain (s <= 0, l < 0, theta outside
-            (0, 2*pi), or non-finite input).
+            (0, 2*pi), or a non-finite or non-numeric input).
     """
-    s, l, theta = arc_length, strip_width, arc_angle
-    if not (math.isfinite(s) and math.isfinite(l) and math.isfinite(theta)):
-        raise ValueError("arguments must be finite")
-    if s <= 0.0:
-        raise ValueError(f"arc_length must be positive, got {s!r}")
-    if l < 0.0:
-        raise ValueError(f"strip_width must be non-negative, got {l!r}")
-    if not 0.0 < theta < 2.0 * math.pi:
-        raise ValueError(f"arc_angle must lie in (0, 2*pi), got {theta!r}")
+    s, l, theta = _check_domain(arc_length, strip_width, arc_angle)
     if theta < SERIES_CUTOFF:
-        base = theta / 6.0 - theta**3 / 120.0 + theta**5 / 5040.0
-        chord = 0.5 - theta * theta / 48.0 + theta**4 / 3840.0
-    else:
-        base = (theta - math.sin(theta)) / (theta * theta)
-        chord = math.sin(0.5 * theta) / theta
+        return series_area(s, l, theta)
+    base = (theta - math.sin(theta)) / (theta * theta)
+    chord = math.sin(0.5 * theta) / theta
     return s * s * base + 2.0 * s * l * chord
 
 
@@ -54,15 +73,7 @@ def center_area_derivative(arc_length: float, strip_width: float,
     The middle factor is positive everywhere on (0, 2*pi), so the sign is
     carried entirely by the last factor; its root is the area maximizer.
     """
-    s, l, theta = arc_length, strip_width, arc_angle
-    if not (math.isfinite(s) and math.isfinite(l) and math.isfinite(theta)):
-        raise ValueError("arguments must be finite")
-    if s <= 0.0:
-        raise ValueError(f"arc_length must be positive, got {s!r}")
-    if l < 0.0:
-        raise ValueError(f"strip_width must be non-negative, got {l!r}")
-    if not 0.0 < theta < 2.0 * math.pi:
-        raise ValueError(f"arc_angle must lie in (0, 2*pi), got {theta!r}")
+    s, l, theta = _check_domain(arc_length, strip_width, arc_angle)
     half = 0.5 * theta
     return (2.0 * s / (theta * theta)
             * (2.0 * math.sin(half) - theta * math.cos(half))

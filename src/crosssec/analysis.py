@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegeneratePolygon, SolverError
+from .errors import DegeneratePolygon, SolverError, check_number
 from .geometry import (CrossSection, DEFAULT_ARC_RESOLUTION,
                        FabricationParams, side_channel_polygon)
 from .polygon import Polygon
@@ -83,12 +83,14 @@ def sweep_constant_perimeter(perimeter: float,
     recorded with a reason, never dropped.
 
     Raises:
-        ValueError: non-positive perimeter or empty grids.
+        ValueError: non-positive or non-finite perimeter, a grid entry
+            that is not a number, or empty grids.
     """
-    if not math.isfinite(perimeter) or perimeter <= 0.0:
-        raise ValueError(f"perimeter must be positive, got {perimeter!r}")
-    arcs = sorted(float(v) for v in center_arc_lengths)
-    strips = sorted(float(v) for v in strip_widths)
+    perimeter = check_number(perimeter, "perimeter", "positive")
+    arcs = sorted(check_number(v, "center arc length", "real")
+                  for v in center_arc_lengths)
+    strips = sorted(check_number(v, "strip width", "real")
+                    for v in strip_widths)
     if not arcs or not strips:
         raise ValueError("center_arc_lengths and strip_widths must be non-empty")
     records = []
@@ -132,15 +134,10 @@ def eversion_force(pressure_kpa: float, area_mm2: float) -> float:
     F = 1e-3 * P * A.
 
     Raises:
-        ValueError: negative or non-finite input.
+        ValueError: negative, non-finite or non-numeric input.
     """
-    if not (math.isfinite(pressure_kpa) and math.isfinite(area_mm2)):
-        raise ValueError("pressure and area must be finite")
-    if pressure_kpa < 0.0:
-        raise ValueError(f"pressure must be non-negative, got {pressure_kpa!r}")
-    if area_mm2 < 0.0:
-        raise ValueError(f"area must be non-negative, got {area_mm2!r}")
-    return 1e-3 * pressure_kpa * area_mm2
+    return (1e-3 * check_number(pressure_kpa, "pressure", "non-negative")
+            * check_number(area_mm2, "area", "non-negative"))
 
 
 def total_area(section: CrossSection,

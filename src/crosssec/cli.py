@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from .analysis import (area_ratio, eversion_force, sweep_constant_perimeter,
                        total_area)
 from .errors import (DegeneratePolygon, InfeasibleSpec, OracleMismatch,
-                     SolverError)
+                     SolverError, check_number)
 from .geometry import DEFAULT_ARC_RESOLUTION, build_cross_section, validate_spec
 from .render import render_svg
 from .serialize import (fab_from_dict, fab_to_dict, oracle_to_dict,
@@ -123,86 +122,53 @@ def _section_dict(config: dict, key: str) -> dict:
     return dict(section)
 
 
-def _resolve_spec(args, config):
-    fields = _section_dict(config, "spec")
-    for flag, key in (("hc", "H_c_mm"), ("hs", "H_s_mm"), ("w", "w_mm")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            fields[key] = value
-        if key in fields:
-            # range and feasibility are the spec validator's to report
-            fields[key] = _typed(fields[key], key, "real")
+def _pick(args, flag: str, section: dict, key: str, default=None):
+    # the flag's value if it was given, else the config field's
+    value = getattr(args, flag, None)
+    return section.get(key, default) if value is None else value
+
+
+#: Config section -> what it is, its (flag, field) pairs, its parser.
+_RECORDS = {
+    "spec": ("spec", (("hc", "H_c_mm"), ("hs", "H_s_mm"), ("w", "w_mm")),
+             spec_from_dict),
+    "fab": ("fab params", (("sc", "S_c_mm"), ("ss", "S_s_mm"), ("l", "L_mm")),
+            fab_from_dict),
+}
+
+
+def _resolve_record(args, config, section: str):
+    """The spec or fab params from flags over the config's section."""
+    what, flags, from_dict = _RECORDS[section]
+    fields = _section_dict(config, section)
+    for flag, key in flags:
+        if key in fields or getattr(args, flag, None) is not None:
+            # named by field here; range and feasibility are the record's
+            # and the spec validator's to report
+            fields[key] = check_number(_pick(args, flag, fields, key), key)
     if not fields:
-        raise ValueError("no spec given: use --hc/--hs/--w or a config 'spec'")
-    return spec_from_dict(fields)
-
-
-def _resolve_fab(args, config):
-    fields = _section_dict(config, "fab")
-    for flag, key in (("sc", "S_c_mm"), ("ss", "S_s_mm"), ("l", "L_mm")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            fields[key] = value
-        if key in fields:
-            fields[key] = _typed(fields[key], key, "real")
-    if not fields:
-        raise ValueError("no fab params given: use --sc/--ss/--l or a config 'fab'")
-    return fab_from_dict(fields)
-
-
-def _typed(value, name: str, kind: str = "positive"):
-    """A numeric flag or config value, checked for type before use.
-
-    JSON numbers only: bools, strings and null are refused, and so are
-    integers beyond the float range.  ``kind`` says what else is checked:
-    ``"integer"``, an integral value, which may be written without a
-    fractional part (``1e6``); ``"positive"`` or ``"non-negative"``, a
-    finite value of that sign; ``"real"``, nothing more, for values whose
-    range the caller reports on itself.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is out of range") from None
-    if kind == "integer":
-        if not number.is_integer():
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        return int(value)
-    if kind == "positive" and not (math.isfinite(number) and number > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    if kind == "non-negative" and not (math.isfinite(number)
-                                       and number >= 0.0):
+        flag_list = "/".join(f"--{flag}" for flag, _ in flags)
         raise ValueError(
-            f"{name} must be non-negative and finite, got {value!r}")
-    return number
+            f"no {what} given: use {flag_list} or a config {section!r}")
+    return from_dict(fields)
 
 
 def _resolve_solver(args, config) -> RootFindConfig:
+    # RootFindConfig checks both values
     fields = _section_dict(config, "solver")
-    abs_tol = args.abs_tol if args.abs_tol is not None else fields.get("abs_tol")
-    max_iter = args.max_iter if args.max_iter is not None else fields.get("max_iter", 200)
-    if abs_tol is not None:
-        abs_tol = _typed(abs_tol, "solver abs_tol")
-    return RootFindConfig(abs_tol=abs_tol,
-                          max_iter=_typed(max_iter, "solver max_iter", "integer"))
+    return RootFindConfig(abs_tol=_pick(args, "abs_tol", fields, "abs_tol"),
+                          max_iter=_pick(args, "max_iter", fields, "max_iter",
+                                         200))
 
 
 def _resolve_resolution(args, config) -> float:
-    if args.arc_resolution is not None:
-        value = args.arc_resolution
-    else:
-        value = config.get("arc_resolution_mm", DEFAULT_ARC_RESOLUTION)
-    return _typed(value, "arc resolution")
+    value = _pick(args, "arc_resolution", config, "arc_resolution_mm",
+                  DEFAULT_ARC_RESOLUTION)
+    return check_number(value, "arc resolution", "positive")
 
 
 def _output_path(args, config, attr: str, key: str) -> str | None:
-    value = getattr(args, attr, None)
-    if value is not None:
-        return value
-    output = _section_dict(config, "output")
-    return output.get(key)
+    return _pick(args, attr, _section_dict(config, "output"), key)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -228,7 +194,7 @@ def _parse_grid(value, name: str) -> list[float]:
     if not isinstance(value, list):
         raise ValueError(f"{name}: expected a list of numbers, got {value!r}")
     # sign and finiteness are per-cell feasibility, reported in the CSV
-    return [_typed(v, name, "real") for v in value]
+    return [check_number(v, name) for v in value]
 
 
 def _maybe_render(section, args, config) -> None:
@@ -238,7 +204,7 @@ def _maybe_render(section, args, config) -> None:
 
 
 def _cmd_inverse(args, config) -> int:
-    spec = _resolve_spec(args, config)
+    spec = _resolve_record(args, config, "spec")
     report = validate_spec(spec)
     if not report.feasible:
         sys.stdout.write(to_json({"feasibility": report_to_dict(report)}))
@@ -259,7 +225,7 @@ def _cmd_inverse(args, config) -> int:
 
 
 def _cmd_forward(args, config) -> int:
-    fab = _resolve_fab(args, config)
+    fab = _resolve_record(args, config, "fab")
     section = forward_geometry(fab, _resolve_solver(args, config),
                                _resolve_resolution(args, config))
     _emit_json(section_to_dict(section), args, config)
@@ -268,7 +234,7 @@ def _cmd_forward(args, config) -> int:
 
 
 def _cmd_shape(args, config) -> int:
-    spec = _resolve_spec(args, config)
+    spec = _resolve_record(args, config, "spec")
     section = build_cross_section(spec, _resolve_resolution(args, config))
     _emit_json(section_to_dict(section), args, config)
     _maybe_render(section, args, config)
@@ -277,16 +243,14 @@ def _cmd_shape(args, config) -> int:
 
 def _cmd_sweep(args, config) -> int:
     sweep_cfg = _section_dict(config, "sweep")
-    perimeter = args.perimeter if args.perimeter is not None \
-        else sweep_cfg.get("perimeter_mm")
+    perimeter = _pick(args, "perimeter", sweep_cfg, "perimeter_mm")
     if perimeter is None:
         raise ValueError("sweep needs --perimeter or config sweep.perimeter_mm")
-    arcs = _parse_grid(args.sc if args.sc is not None else sweep_cfg.get("S_c_mm"),
+    arcs = _parse_grid(_pick(args, "sc", sweep_cfg, "S_c_mm"),
                        "--sc / sweep.S_c_mm")
-    strips = _parse_grid(args.l if args.l is not None else sweep_cfg.get("L_mm"),
-                         "--l / sweep.L_mm")
-    records = sweep_constant_perimeter(_typed(perimeter, "sweep perimeter_mm"),
-                                       arcs, strips,
+    strips = _parse_grid(_pick(args, "l", sweep_cfg, "L_mm"), "--l / sweep.L_mm")
+    perimeter = check_number(perimeter, "sweep perimeter_mm", "positive")
+    records = sweep_constant_perimeter(perimeter, arcs, strips,
                                        _resolve_solver(args, config))
     text = sweep_to_csv(records)
     sys.stdout.write(text)
@@ -297,15 +261,17 @@ def _cmd_sweep(args, config) -> int:
 def _cmd_oracle(args, config) -> int:
     oracle_cfg = _section_dict(config, "oracle")
     fab_cfg = _section_dict(config, "fab")
-    s_c = args.sc if args.sc is not None else fab_cfg.get("S_c_mm")
-    strip = args.l if args.l is not None else fab_cfg.get("L_mm")
+    s_c = _pick(args, "sc", fab_cfg, "S_c_mm")
+    strip = _pick(args, "l", fab_cfg, "L_mm")
     if s_c is None or strip is None:
         raise ValueError("oracle needs --sc and --l (or config fab)")
-    grid_points = args.grid_points if args.grid_points is not None \
-        else oracle_cfg.get("grid_points", 1_000_000)
-    grid_points = _typed(grid_points, "oracle grid_points", "integer")
-    s_c = _typed(s_c, "S_c_mm")
-    strip = _typed(strip, "L_mm", "non-negative")
+    # checked here too, so that messages name the config fields and the
+    # output echoes the values as the library takes them (1e4 as 10000)
+    grid_points = check_number(
+        _pick(args, "grid_points", oracle_cfg, "grid_points", 1_000_000),
+        "oracle grid_points", "integer")
+    s_c = check_number(s_c, "S_c_mm", "positive")
+    strip = check_number(strip, "L_mm", "non-negative")
     result = area_max_oracle(s_c, strip, grid_points,
                              _resolve_solver(args, config))
     _emit_json(oracle_to_dict(s_c, strip, grid_points, result), args, config)
@@ -314,12 +280,11 @@ def _cmd_oracle(args, config) -> int:
 
 def _cmd_compare(args, config) -> int:
     compare_cfg = _section_dict(config, "compare")
-    outline_path = args.outline if args.outline is not None \
-        else compare_cfg.get("outline_csv")
+    outline_path = _pick(args, "outline", compare_cfg, "outline_csv")
     if outline_path is None:
         raise ValueError("compare needs --outline or config compare.outline_csv")
     measured = read_outline_csv(outline_path)
-    fab = _resolve_fab(args, config)
+    fab = _resolve_record(args, config, "fab")
     resolution = _resolve_resolution(args, config)
     section = forward_geometry(fab, _resolve_solver(args, config), resolution)
     ratio = area_ratio(measured, section, resolution)
@@ -334,26 +299,26 @@ def _cmd_compare(args, config) -> int:
 
 def _cmd_force(args, config) -> int:
     force_cfg = _section_dict(config, "force")
-    pressure = args.pressure_kpa if args.pressure_kpa is not None \
-        else force_cfg.get("pressure_kpa")
+    pressure = _pick(args, "pressure_kpa", force_cfg, "pressure_kpa")
     if pressure is None:
         raise ValueError("force needs --pressure-kpa")
-    pressure = _typed(pressure, "pressure_kpa", "non-negative")
-    area = args.area_mm2 if args.area_mm2 is not None else force_cfg.get("area_mm2")
+    pressure = check_number(pressure, "pressure_kpa", "non-negative")
+    area = _pick(args, "area_mm2", force_cfg, "area_mm2")
     if area is None:
         resolution = _resolve_resolution(args, config)
         has_fab = args.sc is not None or _section_dict(config, "fab")
         has_spec = args.hc is not None or _section_dict(config, "spec")
         if has_fab:
-            section = forward_geometry(_resolve_fab(args, config),
+            section = forward_geometry(_resolve_record(args, config, "fab"),
                                        _resolve_solver(args, config), resolution)
         elif has_spec:
-            section = build_cross_section(_resolve_spec(args, config), resolution)
+            section = build_cross_section(_resolve_record(args, config, "spec"),
+                                          resolution)
         else:
             raise ValueError(
                 "force needs an area: --area-mm2, fab params or a spec")
         area = total_area(section, resolution)
-    area = _typed(area, "area_mm2", "non-negative")
+    area = check_number(area, "area_mm2", "non-negative")
     doc = {
         "pressure_kpa": pressure,
         "area_mm2": area,

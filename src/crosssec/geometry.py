@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._arcmath import center_area
-from .errors import InfeasibleSpec, NonpositiveTension
+from .errors import InfeasibleSpec, NonpositiveTension, check_number
 from .polygon import Polygon, arc_points
 
 #: Default polygonization tolerance: max chord-sagitta error in mm.
@@ -37,11 +37,14 @@ _FULL_TURN = 2.0 * math.pi
 _FULL_TURN_SLACK = 4.0 * math.ulp(_FULL_TURN)
 
 
-def _require_positive(obj, *fields):
-    for name in fields:
-        value = getattr(obj, name)
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+def _check_fields(record, kind, *names):
+    # check_number on each field of a frozen record, storing its result
+    # only where it differs (an int or NumPy scalar becomes a float)
+    for name in names:
+        value = getattr(record, name)
+        number = check_number(value, name, kind)
+        if number is not value:
+            object.__setattr__(record, name, number)
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class DesignSpec:
     width: float
 
     def __post_init__(self):
-        _require_positive(self, "center_height", "side_height", "width")
+        _check_fields(self, "positive", "center_height", "side_height", "width")
 
 
 @dataclass(frozen=True)
@@ -84,10 +87,8 @@ class FabricationParams:
     strip_width: float
 
     def __post_init__(self):
-        _require_positive(self, "center_arc_length", "side_arc_length")
-        if not math.isfinite(self.strip_width) or self.strip_width < 0.0:
-            raise ValueError(
-                f"strip_width must be non-negative and finite, got {self.strip_width!r}")
+        _check_fields(self, "positive", "center_arc_length", "side_arc_length")
+        _check_fields(self, "non-negative", "strip_width")
 
     def perimeter(self) -> float:
         """Membrane perimeter of the section: 2 S_c + 2 S_s (mm)."""
@@ -136,8 +137,8 @@ class CenterChannel:
     area: float
 
     def __post_init__(self):
-        _require_positive(self, "radius", "arc_angle", "width")
-        if not 0.0 < self.arc_angle < 2.0 * math.pi:
+        _check_fields(self, "positive", "radius", "arc_angle", "width")
+        if not self.arc_angle < 2.0 * math.pi:
             raise ValueError(f"arc_angle must lie in (0, 2*pi), got {self.arc_angle!r}")
 
     @property
@@ -180,8 +181,8 @@ class SideChannel:
     area: float
 
     def __post_init__(self):
-        _require_positive(self, "radius")
-        if not 0.0 < self.arc_angle <= 2.0 * math.pi:
+        _check_fields(self, "positive", "radius", "arc_angle")
+        if not self.arc_angle <= 2.0 * math.pi:
             raise ValueError(f"arc_angle must lie in (0, 2*pi], got {self.arc_angle!r}")
 
     @property
@@ -339,12 +340,11 @@ def membrane_curvature(pressure_kpa: float, tension_n_per_mm: float) -> float:
 
     Raises:
         NonpositiveTension: when tension <= 0.
-        ValueError: when pressure is negative or either input non-finite.
+        ValueError: when pressure is negative, or either input is
+            non-finite or not a number.
     """
-    if not (math.isfinite(pressure_kpa) and math.isfinite(tension_n_per_mm)):
-        raise ValueError("pressure and tension must be finite")
-    if pressure_kpa < 0.0:
-        raise ValueError(f"pressure must be non-negative, got {pressure_kpa!r}")
+    pressure_kpa = check_number(pressure_kpa, "pressure", "non-negative")
+    tension_n_per_mm = check_number(tension_n_per_mm, "tension", "finite")
     if tension_n_per_mm <= 0.0:
         raise NonpositiveTension(
             f"tension must be positive, got {tension_n_per_mm!r}")

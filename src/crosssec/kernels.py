@@ -21,11 +21,9 @@ import threading
 
 import numpy as np
 
-__all__ = ["CHUNK", "SERIES_CUTOFF", "center_area_grid_argmax"]
+from ._arcmath import SERIES_CUTOFF, series_area
 
-#: Below this angle (rad) the closed form cancels catastrophically and the
-#: series expansions of both theta^-2 factors take over.
-SERIES_CUTOFF = 1e-4
+__all__ = ["CHUNK", "SERIES_CUTOFF", "center_area_grid_argmax"]
 
 #: Grid points scanned at once, summed over all workers; four float64
 #: buffers of this size stay in cache.
@@ -55,12 +53,6 @@ def _area_chunk(s, l, theta, out, tmp):
     np.add(out, tmp, out=out)
 
 
-def _series_area(s, l, t):
-    base = t / 6.0 - t**3 / 120.0 + t**5 / 5040.0
-    chord = 0.5 - t * t / 48.0 + t**4 / 3840.0
-    return s * s * base + 2.0 * s * l * chord
-
-
 def _scan_chunks(claim, s, l, n, lo, step, index, found):
     # Scan the chunks ``claim()`` hands out, appending each chunk's
     # ``(grid index, area)`` maximum to ``found``, through own buffers.
@@ -80,7 +72,7 @@ def _scan_chunks(claim, s, l, n, lo, step, index, found):
             # theta = 0 gives 0/0 here; the series overwrites it below
             with np.errstate(divide="ignore", invalid="ignore"):
                 _area_chunk(s, l, t, a, tmp[:m])
-            a[small] = _series_area(s, l, t[small])
+            a[small] = series_area(s, l, t[small])
         else:
             _area_chunk(s, l, t, a, tmp[:m])
         j = int(np.argmax(a))

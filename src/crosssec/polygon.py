@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from .errors import check_number
+
 #: Most chords one sampled arc may have: 2**22, or 64 MiB of vertices.
 #: A full circle at this count has a sagitta of about 3e-13 of its radius,
 #: which ``1 - max_sagitta / radius`` resolves only to about 1e-3; finer
@@ -35,16 +37,15 @@ def arc_points(cx: float, cy: float, radius: float, start_angle: float,
 
     Raises:
         ValueError: on a non-positive or non-finite radius or tolerance,
-            non-finite angles, or an arc that would need more than
-            ``MAX_ARC_SEGMENTS`` segments.
+            a non-finite center or angle, a non-numeric input, or an arc
+            that would need more than ``MAX_ARC_SEGMENTS`` segments.
     """
-    if not math.isfinite(radius) or radius <= 0.0:
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    if not math.isfinite(max_sagitta) or max_sagitta <= 0.0:
-        raise ValueError(
-            f"max_sagitta must be positive and finite, got {max_sagitta!r}")
-    if not (math.isfinite(start_angle) and math.isfinite(end_angle)):
-        raise ValueError("arc angles must be finite")
+    cx = check_number(cx, "arc center", "finite")
+    cy = check_number(cy, "arc center", "finite")
+    radius = check_number(radius, "radius", "positive")
+    max_sagitta = check_number(max_sagitta, "max_sagitta", "positive")
+    start_angle = check_number(start_angle, "arc angles", "finite")
+    end_angle = check_number(end_angle, "arc angles", "finite")
     span = abs(end_angle - start_angle)
     if max_sagitta < radius:
         # sagitta of a chord over angle d is r (1 - cos(d/2))

@@ -81,22 +81,16 @@ def fab_to_dict(fab: FabricationParams) -> dict:
 
 def spec_from_dict(data: dict) -> DesignSpec:
     try:
-        return DesignSpec(float(data["H_c_mm"]), float(data["H_s_mm"]),
-                          float(data["w_mm"]))
+        return DesignSpec(data["H_c_mm"], data["H_s_mm"], data["w_mm"])
     except KeyError as exc:
         raise ValueError(f"spec is missing field {exc.args[0]!r}") from exc
-    except TypeError as exc:
-        raise ValueError(f"spec has a non-numeric field: {exc}") from exc
 
 
 def fab_from_dict(data: dict) -> FabricationParams:
     try:
-        return FabricationParams(float(data["S_c_mm"]), float(data["S_s_mm"]),
-                                 float(data["L_mm"]))
+        return FabricationParams(data["S_c_mm"], data["S_s_mm"], data["L_mm"])
     except KeyError as exc:
         raise ValueError(f"fab is missing field {exc.args[0]!r}") from exc
-    except TypeError as exc:
-        raise ValueError(f"fab has a non-numeric field: {exc}") from exc
 
 
 def report_to_dict(report: FeasibilityReport) -> dict:

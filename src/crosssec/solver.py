@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from ._arcmath import center_area, center_area_derivative, strip_fit_residual
-from .errors import NoBracket, NonConvergence, OracleMismatch
+from ._arcmath import (center_area, center_area_derivative, check_arc,
+                       strip_fit_residual)
+from .errors import NoBracket, NonConvergence, OracleMismatch, check_number
 from .geometry import CrossSection, DesignSpec, FabricationParams, \
-    DEFAULT_ARC_RESOLUTION, _assemble
+    DEFAULT_ARC_RESOLUTION, _assemble, _check_fields
 
 __all__ = [
     "RootFindConfig", "OracleResult", "center_area", "center_area_derivative",
@@ -39,17 +40,19 @@ class RootFindConfig:
     """Tolerances for the bracketed scalar solves.
 
     Attributes:
-        abs_tol: Bracket-width stop in the root variable's units; None
-            (default) means 1e-12 of the initial bracket width.
-        max_iter: Iteration budget before NonConvergence.
+        abs_tol: Bracket-width stop in the root variable's units, positive
+            and finite; None (default) means 1e-12 of the initial bracket
+            width.
+        max_iter: Iteration budget before NonConvergence, an integer >= 1.
     """
 
     abs_tol: float | None = None
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.abs_tol is not None and not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol!r}")
+        if self.abs_tol is not None:
+            _check_fields(self, "positive", "abs_tol")
+        _check_fields(self, "integer", "max_iter")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
@@ -132,15 +135,11 @@ def solve_center_arc_angle(arc_length: float, strip_width: float,
     absorbs the floating-point noise of cos(pi/2).
 
     Raises:
-        ValueError: arc_length <= 0, strip_width < 0 or non-finite input.
+        ValueError: arc_length <= 0, strip_width < 0, or a non-finite or
+            non-numeric input.
         NoBracket / NonConvergence: from the root finder.
     """
-    if not (math.isfinite(arc_length) and math.isfinite(strip_width)):
-        raise ValueError("arguments must be finite")
-    if arc_length <= 0.0:
-        raise ValueError(f"arc_length must be positive, got {arc_length!r}")
-    if strip_width < 0.0:
-        raise ValueError(f"strip_width must be non-negative, got {strip_width!r}")
+    arc_length, strip_width = check_arc(arc_length, strip_width)
     if strip_fit_residual(arc_length, strip_width, math.pi) >= 0.0:
         return math.pi
     return _bracketed_root(
@@ -149,59 +148,40 @@ def solve_center_arc_angle(arc_length: float, strip_width: float,
 
 
 def solve_side_height(arc_length: float, strip_width: float,
-                      branch: str = "any",
                       cfg: RootFindConfig = DEFAULT_CONFIG) -> float:
     """Side-channel height whose arc of given length spans the strip chord.
 
     Solves ``strip_width = H sin(arc_length / H)`` for H on the physical
     domain where the side arc angle ``2 arc_length / H`` stays within
-    (0, 2*pi].  On that domain the residual is strictly monotone, so the
-    root is unique; ``branch`` optionally restricts which side of the
-    half-circle arc it may fall on:
-
-    * ``"any"``: the full domain (default).
-    * ``"minor"``: arc angle <= pi (width contribution below the radius).
-    * ``"major"``: arc angle >= pi.
-
+    (0, 2*pi], by rooting in ``u = arc_length / H`` on (1e-12, pi].  On
+    that domain the residual is strictly monotone, so the root is unique.
     A zero strip width returns the full-circle solution
     ``arc_length / pi`` exactly.
 
     Raises:
-        ValueError: bad inputs or unknown branch.
-        NoBracket: strip_width >= arc_length, or no root on the requested
-            branch.
+        ValueError: arc_length <= 0, strip_width < 0, or a non-finite or
+            non-numeric input.
+        NoBracket: strip_width >= arc_length.
         NonConvergence: from the root finder.
     """
-    if not (math.isfinite(arc_length) and math.isfinite(strip_width)):
-        raise ValueError("arguments must be finite")
-    if arc_length <= 0.0:
-        raise ValueError(f"arc_length must be positive, got {arc_length!r}")
-    if strip_width < 0.0:
-        raise ValueError(f"strip_width must be non-negative, got {strip_width!r}")
+    arc_length, strip_width = check_arc(arc_length, strip_width)
     if strip_width >= arc_length:
         # the chord of an arc is strictly shorter than the arc, and near
         # equality the residual underflows to an exact endpoint zero
         raise NoBracket(
             f"strip width {strip_width:.9g} leaves no slack in the "
             f"membrane arc {arc_length:.9g}", channel="side")
-    brackets = {
-        "any": (1e-12, math.pi),
-        "minor": (1e-12, 0.5 * math.pi),
-        "major": (0.5 * math.pi, math.pi),
-    }
-    if branch not in brackets:
-        raise ValueError(f"branch must be one of {sorted(brackets)}, got {branch!r}")
-    lo, hi = brackets[branch]
 
     def residual(u):
         # u = arc_length / H, half the side arc angle
         return arc_length * math.sin(u) / u - strip_width
 
-    if hi == math.pi and residual(math.pi) >= 0.0:
+    if residual(math.pi) >= 0.0:
         # sin(pi) rounds to +1.2e-16, so a zero strip width leaves no sign
         # change; the root is the full-circle endpoint itself.
         return arc_length / math.pi
-    u = _bracketed_root(residual, lo, hi, cfg, "side height", channel="side")
+    u = _bracketed_root(residual, 1e-12, math.pi, cfg, "side height",
+                        channel="side")
     return arc_length / u
 
 
@@ -220,7 +200,7 @@ def forward_geometry(fab: FabricationParams,
     """
     theta_c = solve_center_arc_angle(fab.center_arc_length, fab.strip_width, cfg)
     center_height = 2.0 * fab.center_arc_length / theta_c
-    side_height = solve_side_height(fab.side_arc_length, fab.strip_width, cfg=cfg)
+    side_height = solve_side_height(fab.side_arc_length, fab.strip_width, cfg)
     width_c = center_height * math.sin(fab.center_arc_length / center_height)
     theta_s = 2.0 * fab.side_arc_length / side_height
     width_s = 0.5 * side_height * (1.0 + math.cos(math.pi - 0.5 * theta_s))
@@ -242,16 +222,18 @@ def area_max_oracle(arc_length: float, strip_width: float,
     angle, and the result is bit for bit the same on any number of CPUs.
 
     Raises:
-        ValueError: grid_points < 1000 or > MAX_GRID_POINTS, or bad
-            scalars.
+        ValueError: grid_points not an integer from 1000 to
+            MAX_GRID_POINTS, or bad scalars.
         OracleMismatch: argmax farther than one grid step from the root;
             indicates a bug, never a property of valid inputs.
     """
+    grid_points = check_number(grid_points, "grid_points", "integer")
     if grid_points < 1000:
         raise ValueError(f"grid_points >= 1000 required, got {grid_points!r}")
     if grid_points > MAX_GRID_POINTS:
         raise ValueError(
             f"grid_points <= {MAX_GRID_POINTS} required, got {grid_points:.9g}")
+    arc_length, strip_width = check_arc(arc_length, strip_width)
     root = solve_center_arc_angle(arc_length, strip_width, cfg)
     lo = _GRID_EPS
     hi = 2.0 * math.pi - _GRID_EPS

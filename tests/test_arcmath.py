@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
+from crosssec import kernels
 from crosssec._arcmath import (SERIES_CUTOFF, center_area,
-                               center_area_derivative, strip_fit_residual)
+                               center_area_derivative, series_area,
+                               strip_fit_residual)
 from conftest import FROZEN
 
 
@@ -32,6 +35,13 @@ class TestCenterArea:
         a_below = center_area(100.0, 50.0, below)
         a_above = center_area(100.0, 50.0, above)
         assert a_below == pytest.approx(a_above, rel=1e-10)
+
+    def test_one_series_for_floats_and_grids(self):
+        # the grid kernel takes its cutoff and series from here
+        assert kernels.SERIES_CUTOFF is SERIES_CUTOFF
+        thetas = [1e-12, 1e-6, 0.5 * SERIES_CUTOFF, SERIES_CUTOFF * (1 - 1e-9)]
+        grid = series_area(152.0, 76.2, np.array(thetas))
+        assert grid.tolist() == [center_area(152.0, 76.2, t) for t in thetas]
 
     def test_small_angle_limit_is_chord_area(self):
         # as the arcs flatten, the channel tends to the S_c x L rectangle

@@ -90,30 +90,16 @@ class TestSolveSideHeight:
         assert solve_side_height(math.pi, 0.0) == 1.0
         assert solve_side_height(127.0, 0.0) == 127.0 / math.pi
 
-    def test_branch_restriction(self):
-        # S1 side arc angle is 3.32 rad > pi: only the major branch has it
-        h_any = solve_side_height(127.0, 76.2, branch="any")
-        h_major = solve_side_height(127.0, 76.2, branch="major")
-        assert h_any == pytest.approx(h_major, rel=1e-12)
-        with pytest.raises(NoBracket, match="side channel"):
-            solve_side_height(127.0, 76.2, branch="minor")
-
     def test_minor_branch_case(self):
-        # wide strip relative to arc: angle < pi, minor branch
-        h_any = solve_side_height(127.0, 100.0, branch="any")
-        h_minor = solve_side_height(127.0, 100.0, branch="minor")
-        assert h_any == pytest.approx(h_minor, rel=1e-12)
-        assert 2.0 * 127.0 / h_any < math.pi
+        # wide strip relative to arc: side arc angle < pi
+        h = solve_side_height(127.0, 100.0)
+        assert 2.0 * 127.0 / h < math.pi
 
     def test_strip_at_least_arc_has_no_root(self):
         with pytest.raises(NoBracket):
             solve_side_height(127.0, 127.0)
         with pytest.raises(NoBracket):
             solve_side_height(127.0, 200.0)
-
-    def test_unknown_branch(self):
-        with pytest.raises(ValueError, match="branch"):
-            solve_side_height(127.0, 76.2, branch="upper")
 
     def test_chord_relation_holds(self):
         h = solve_side_height(127.0, 76.2)
