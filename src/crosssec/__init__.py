@@ -4,7 +4,7 @@ An inflatable tube whose cross section is pinched by inextensible strips
 bulges into one central lobe flanked by two side lobes.  This package
 computes that geometry in both directions: closed-form fabrication
 parameters from a target envelope (inverse), and the inflated shape from
-fabrication parameters (forward, via bracketed root finding).  Analysis
+fabrication parameters (forward, one Newton solve per channel).  Analysis
 helpers cover constant-perimeter design sweeps, an ergonomic flatness
 index, eversion force and measured-versus-model area comparison.
 """

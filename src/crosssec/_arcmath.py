@@ -84,12 +84,12 @@ def strip_fit_residual(arc_length: float, strip_width: float,
                        arc_angle: float) -> float:
     """Residual of the strip-fit condition for the center arcs.
 
-    ``arc_length * cos(theta/2) / theta - strip_width / 2``.  Its root is
+    ``arc_length * cos(theta/2) - strip_width * theta / 2``.  Its root is
     the angle at which the two center arcs sit exactly one strip width
-    apart (their chord planes are separated by ``2 r cos(theta/2)``), and
-    it is simultaneously the last factor of ``center_area_derivative``:
-    the strip-fitting angle maximizes the center area.  Strictly
-    decreasing on (0, pi], so the root there is unique.
+    apart (chord planes ``2 r cos(theta/2)`` apart).  It is theta times the
+    last factor of ``center_area_derivative``, so that angle maximizes the
+    center area; the factor theta makes it concave as well as decreasing on
+    (0, pi], so Newton from the right falls monotonically onto the root.
     """
-    return (arc_length * math.cos(0.5 * arc_angle) / arc_angle
-            - 0.5 * strip_width)
+    return (arc_length * math.cos(0.5 * arc_angle)
+            - 0.5 * strip_width * arc_angle)

@@ -71,6 +71,10 @@ def ergonomic_index(section: CrossSection) -> ErgonomicReport:
                            slope=slope, index=index)
 
 
+def _nan_last(value: float) -> tuple[bool, float]:
+    return math.isnan(value), value
+
+
 def sweep_constant_perimeter(perimeter: float,
                              center_arc_lengths,
                              strip_widths,
@@ -78,19 +82,19 @@ def sweep_constant_perimeter(perimeter: float,
     """Evaluate every (S_c, L) cell at a fixed membrane perimeter.
 
     The side arc length of each cell is ``perimeter / 2 - S_c``.  Grids
-    are sorted ascending and iterated S_c-major then L, so identical
-    inputs always produce identical row order.  Infeasible cells are
-    recorded with a reason, never dropped.
+    are sorted ascending, NaN entries last, and iterated S_c-major then L,
+    so the row order depends only on the grid values.  Infeasible cells
+    are recorded with a reason, never dropped.
 
     Raises:
         ValueError: non-positive or non-finite perimeter, a grid entry
             that is not a number, or empty grids.
     """
     perimeter = check_number(perimeter, "perimeter", "positive")
-    arcs = sorted(check_number(v, "center arc length", "real")
-                  for v in center_arc_lengths)
-    strips = sorted(check_number(v, "strip width", "real")
-                    for v in strip_widths)
+    arcs = sorted((check_number(v, "center arc length", "real")
+                   for v in center_arc_lengths), key=_nan_last)
+    strips = sorted((check_number(v, "strip width", "real")
+                     for v in strip_widths), key=_nan_last)
     if not arcs or not strips:
         raise ValueError("center_arc_lengths and strip_widths must be non-empty")
     records = []

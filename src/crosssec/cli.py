@@ -47,7 +47,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--json", dest="json_path", metavar="PATH",
                        help="also write the JSON result to PATH")
         p.add_argument("--abs-tol", type=float, dest="abs_tol",
-                       help="solver bracket tolerance (default 1e-12 of bracket)")
+                       help="solver Newton-step stop, rad (default: to roundoff)")
         p.add_argument("--max-iter", type=int, dest="max_iter",
                        help="solver iteration budget (default 200)")
         p.add_argument("--arc-resolution", type=float, dest="arc_resolution",
@@ -167,8 +167,14 @@ def _resolve_resolution(args, config) -> float:
     return check_number(value, "arc resolution", "positive")
 
 
-def _output_path(args, config, attr: str, key: str) -> str | None:
-    return _pick(args, attr, _section_dict(config, "output"), key)
+def _resolve_outputs(args, config) -> None:
+    # every output path, flag over config field, checked before any output
+    section = _section_dict(config, "output")
+    for key in ("json", "svg", "csv"):
+        path = _pick(args, f"{key}_path", section, key)
+        if path is not None and not isinstance(path, str):
+            raise ValueError(f"output {key} must be a path string, got {path!r}")
+        setattr(args, f"{key}_path", path)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -176,10 +182,10 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _emit_json(doc, args, config) -> None:
+def _emit_json(doc, args) -> None:
     text = to_json(doc)
     sys.stdout.write(text)
-    _write(_output_path(args, config, "json_path", "json"), text)
+    _write(args.json_path, text)
 
 
 def _parse_grid(value, name: str) -> list[float]:
@@ -197,10 +203,9 @@ def _parse_grid(value, name: str) -> list[float]:
     return [check_number(v, name) for v in value]
 
 
-def _maybe_render(section, args, config) -> None:
-    path = _output_path(args, config, "svg_path", "svg")
-    if path is not None:
-        _write(path, render_svg(section))
+def _maybe_render(section, args) -> None:
+    if args.svg_path is not None:
+        _write(args.svg_path, render_svg(section))
 
 
 def _cmd_inverse(args, config) -> int:
@@ -220,7 +225,7 @@ def _cmd_inverse(args, config) -> int:
         },
         "feasibility": report_to_dict(report),
     }
-    _emit_json(doc, args, config)
+    _emit_json(doc, args)
     return 0
 
 
@@ -228,16 +233,16 @@ def _cmd_forward(args, config) -> int:
     fab = _resolve_record(args, config, "fab")
     section = forward_geometry(fab, _resolve_solver(args, config),
                                _resolve_resolution(args, config))
-    _emit_json(section_to_dict(section), args, config)
-    _maybe_render(section, args, config)
+    _emit_json(section_to_dict(section), args)
+    _maybe_render(section, args)
     return 0
 
 
 def _cmd_shape(args, config) -> int:
     spec = _resolve_record(args, config, "spec")
     section = build_cross_section(spec, _resolve_resolution(args, config))
-    _emit_json(section_to_dict(section), args, config)
-    _maybe_render(section, args, config)
+    _emit_json(section_to_dict(section), args)
+    _maybe_render(section, args)
     return 0
 
 
@@ -254,7 +259,7 @@ def _cmd_sweep(args, config) -> int:
                                        _resolve_solver(args, config))
     text = sweep_to_csv(records)
     sys.stdout.write(text)
-    _write(_output_path(args, config, "csv_path", "csv"), text)
+    _write(args.csv_path, text)
     return 0
 
 
@@ -274,7 +279,7 @@ def _cmd_oracle(args, config) -> int:
     strip = check_number(strip, "L_mm", "non-negative")
     result = area_max_oracle(s_c, strip, grid_points,
                              _resolve_solver(args, config))
-    _emit_json(oracle_to_dict(s_c, strip, grid_points, result), args, config)
+    _emit_json(oracle_to_dict(s_c, strip, grid_points, result), args)
     return 0
 
 
@@ -293,7 +298,7 @@ def _cmd_compare(args, config) -> int:
         "model_area_mm2": total_area(section, resolution),
         "area_ratio": ratio,
     }
-    _emit_json(doc, args, config)
+    _emit_json(doc, args)
     return 0
 
 
@@ -324,7 +329,7 @@ def _cmd_force(args, config) -> int:
         "area_mm2": area,
         "force_n": eversion_force(pressure, area),
     }
-    _emit_json(doc, args, config)
+    _emit_json(doc, args)
     return 0
 
 
@@ -346,6 +351,7 @@ def main(argv=None) -> int:
         if "mode" in config and config["mode"] != args.mode:
             raise ValueError(
                 f"config mode {config['mode']!r} does not match subcommand {args.mode!r}")
+        _resolve_outputs(args, config)
         return _COMMANDS[args.mode](args, config)
     except (ValueError, OSError, DegeneratePolygon) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

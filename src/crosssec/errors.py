@@ -94,16 +94,16 @@ class SolverError(CrossSecError):
 
 
 class NoBracket(SolverError):
-    """The residual has no sign change over the search interval."""
+    """The channel's equation has no usable root for these lengths."""
 
 
 class NonConvergence(SolverError):
-    """The root finder exhausted max_iter before meeting tolerance."""
+    """The Newton solve exhausted max_iter before it stopped moving."""
 
 
 class DegeneratePolygon(CrossSecError):
-    """Polygon unusable for area computation (non-positive area or
-    self-intersecting boundary)."""
+    """Polygon unusable for area computation (non-positive or overflowing
+    area, or self-intersecting boundary)."""
 
 
 class OracleMismatch(CrossSecError):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import check_number
+from .errors import DegeneratePolygon, check_number
 
 #: Most chords one sampled arc may have: 2**22, or 64 MiB of vertices.
 #: A full circle at this count has a sagitta of about 3e-13 of its radius,
@@ -95,16 +95,22 @@ class Polygon:
     def __iter__(self):
         return iter(self.points)
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflow raises below
     def signed_area(self) -> float:
-        """Shoelace area (mm^2); positive for counter-clockwise winding."""
+        """Shoelace area (mm^2), positive for counter-clockwise winding;
+        DegeneratePolygon when it overflows the float range."""
         x = self.points[:, 0]
         y = self.points[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+        area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+        if not math.isfinite(area):
+            raise DegeneratePolygon("polygon area overflows the float range")
+        return area
 
     def area(self) -> float:
         """Absolute enclosed area (mm^2)."""
         return abs(self.signed_area())
 
+    @np.errstate(over="ignore", invalid="ignore")
     def is_simple(self) -> bool:
         """True when no two edges properly cross.
 

@@ -51,9 +51,7 @@ def canonical(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return round_sig(obj)
+        return fmt(obj) if math.isinf(obj) else round_sig(obj)
     return obj
 
 

@@ -24,9 +24,6 @@ __all__ = [
     "area_max_oracle", "MAX_GRID_POINTS",
 ]
 
-#: Open lower end of the center-angle bracket (rad).
-_ANGLE_EPS = 1e-9
-
 #: End clearance of the oracle grid (rad).
 _GRID_EPS = 1e-6
 
@@ -37,13 +34,14 @@ MAX_GRID_POINTS = 100_000_000
 
 @dataclass(frozen=True)
 class RootFindConfig:
-    """Tolerances for the bracketed scalar solves.
+    """Stopping rules for the Newton solves of both channels.
 
     Attributes:
-        abs_tol: Bracket-width stop in the root variable's units, positive
-            and finite; None (default) means 1e-12 of the initial bracket
-            width.
-        max_iter: Iteration budget before NonConvergence, an integer >= 1.
+        abs_tol: Newton-step stop in the root variable's units (rad),
+            positive and finite; None (default) iterates until the step
+            stops shrinking toward the root, i.e. to roundoff.
+        max_iter: Iteration budget before NonConvergence, an integer >= 1;
+            each iteration evaluates the residual once.
     """
 
     abs_tol: float | None = None
@@ -85,104 +83,91 @@ class OracleResult:
     parabolic_argmax: float
 
 
-def _bracketed_root(f, lo, hi, cfg: RootFindConfig, what: str,
-                    channel: str | None = None) -> float:
-    """Bisection/secant hybrid on a sign-changing bracket.
+def _newton(step, x: float, cfg: RootFindConfig, channel: str) -> float:
+    """Newton's method, with no bracket, from ``x`` right of the root of f.
 
-    Alternates a safeguarded secant step with a plain bisection step, so
-    the bracket provably halves at least every other iteration while the
-    secant supplies the fast local convergence.  Derivative-free and
-    deterministic.
+    ``step(x)`` is ``f(x) / f'(x)`` for an f concave and decreasing between
+    its root and ``x``, so the iterates fall monotonically onto the root.
+    Stops at the first step that does not move left (roundoff has reached
+    the root) or, given ``cfg.abs_tol``, at a step that short.
     """
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise NoBracket(
-            f"{what}: no sign change on [{lo:.9g}, {hi:.9g}]", channel=channel)
-    tol = cfg.abs_tol if cfg.abs_tol is not None else 1e-12 * (hi - lo)
-    for iteration in range(cfg.max_iter):
-        if hi - lo <= tol:
-            return lo + 0.5 * (hi - lo)
-        mid = lo + 0.5 * (hi - lo)
-        x = mid
-        if iteration % 2 == 0 and f_hi != f_lo:
-            secant = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-            if lo < secant < hi:
-                x = secant
-        f_x = f(x)
-        if f_x == 0.0:
+    for _ in range(cfg.max_iter):
+        x_next = x - step(x)
+        if not x_next < x:
             return x
-        if (f_x > 0.0) == (f_lo > 0.0):
-            lo, f_lo = x, f_x
-        else:
-            hi, f_hi = x, f_x
-    raise NonConvergence(
-        f"{what}: bracket width {hi - lo:.3g} still above {tol:.3g} "
-        f"after {cfg.max_iter} iterations", channel=channel)
+        if cfg.abs_tol is not None and x - x_next <= cfg.abs_tol:
+            return x_next
+        x = x_next
+    raise NonConvergence(f"Newton solve still moving after {cfg.max_iter} "
+                         "steps", channel=channel)
 
 
 def solve_center_arc_angle(arc_length: float, strip_width: float,
                            cfg: RootFindConfig = DEFAULT_CONFIG) -> float:
     """Arc angle at which the center arcs fit the strip width (rad).
 
-    Roots ``strip_fit_residual`` on the bracket (1e-9, pi], where the
-    residual is strictly decreasing and the root unique.  A zero strip
-    width puts the root exactly at pi; that endpoint is returned directly
-    whenever the residual at pi is already non-negative, which also
-    absorbs the floating-point noise of cos(pi/2).
+    Roots ``strip_fit_residual(1.0, rho, theta)``, ``rho = strip_width /
+    arc_length``, by Newton from ``min(pi, 2 / rho)``: the root lies left of
+    both, as ``cos(theta/2) = rho theta/2 < 1``.  A zero strip width
+    returns pi exactly.
 
     Raises:
         ValueError: arc_length <= 0, strip_width < 0, or a non-finite or
             non-numeric input.
-        NoBracket / NonConvergence: from the root finder.
+        NoBracket: the strip so dwarfs the arcs that the angle underflows.
+        NonConvergence: the iteration budget ran out.
     """
     arc_length, strip_width = check_arc(arc_length, strip_width)
-    if strip_fit_residual(arc_length, strip_width, math.pi) >= 0.0:
-        return math.pi
-    return _bracketed_root(
-        lambda theta: strip_fit_residual(arc_length, strip_width, theta),
-        _ANGLE_EPS, math.pi, cfg, "center arc angle", channel="center")
+    rho = strip_width / arc_length
+    theta = math.pi if rho * math.pi <= 2.0 else 2.0 / rho
+    if theta == 0.0:  # 2 / rho underflowed
+        raise NoBracket(f"strip width {strip_width:.9g} leaves the center arc "
+                        f"{arc_length:.9g} no float angle", channel="center")
+    return _newton(  # the residual's slope is -(sin(theta/2) + rho) / 2
+        lambda t: -2.0 * strip_fit_residual(1.0, rho, t) / (math.sin(0.5 * t) + rho),
+        theta, cfg, "center")
+
+
+def _sine_deficit(u: float) -> float:
+    # u - sin(u); below 0.5 by its Taylor series, where the difference cancels
+    if u >= 0.5:
+        return u - math.sin(u)
+    t = u * u
+    return u * t * (1 / 6 - t / 120 + t**2 / 5040 - t**3 / 362880
+                    + t**4 / 39916800 - t**5 / 6227020800 + t**6 / 1307674368000)
 
 
 def solve_side_height(arc_length: float, strip_width: float,
                       cfg: RootFindConfig = DEFAULT_CONFIG) -> float:
     """Side-channel height whose arc of given length spans the strip chord.
 
-    Solves ``strip_width = H sin(arc_length / H)`` for H on the physical
-    domain where the side arc angle ``2 arc_length / H`` stays within
-    (0, 2*pi], by rooting in ``u = arc_length / H`` on (1e-12, pi].  On
-    that domain the residual is strictly monotone, so the root is unique.
-    A zero strip width returns the full-circle solution
+    Solves ``strip_width = H sin(arc_length / H)`` with the side arc angle
+    ``2 arc_length / H`` in (0, 2*pi]: in ``u = arc_length / H`` and the
+    slack ``eps = 1 - strip_width / arc_length``, the concave
+    ``eps u - (u - sin u) = 0`` on (0, pi], with no cancellation as
+    ``strip_width -> arc_length``.  Newton starts at pi, or for
+    ``eps < 5/12`` at the root of ``u^2/6 - u^4/120 = eps``, right of the
+    root as the series alternates.  A zero strip width returns
     ``arc_length / pi`` exactly.
 
     Raises:
         ValueError: arc_length <= 0, strip_width < 0, or a non-finite or
             non-numeric input.
         NoBracket: strip_width >= arc_length.
-        NonConvergence: from the root finder.
+        NonConvergence: the iteration budget ran out.
     """
     arc_length, strip_width = check_arc(arc_length, strip_width)
     if strip_width >= arc_length:
-        # the chord of an arc is strictly shorter than the arc, and near
-        # equality the residual underflows to an exact endpoint zero
-        raise NoBracket(
-            f"strip width {strip_width:.9g} leaves no slack in the "
-            f"membrane arc {arc_length:.9g}", channel="side")
-
-    def residual(u):
-        # u = arc_length / H, half the side arc angle
-        return arc_length * math.sin(u) / u - strip_width
-
-    if residual(math.pi) >= 0.0:
-        # sin(pi) rounds to +1.2e-16, so a zero strip width leaves no sign
-        # change; the root is the full-circle endpoint itself.
-        return arc_length / math.pi
-    u = _bracketed_root(residual, 1e-12, math.pi, cfg, "side height",
-                        channel="side")
-    return arc_length / u
+        # the chord of an arc is strictly shorter than the arc
+        raise NoBracket(f"strip width {strip_width:.9g} leaves no slack in the "
+                        f"membrane arc {arc_length:.9g}", channel="side")
+    # exact difference once strip_width >= arc_length / 2 (Sterbenz)
+    slack = (arc_length - strip_width) / arc_length
+    u = math.pi if slack >= 5.0 / 12.0 else math.sqrt(
+        120.0 * slack / (10.0 + math.sqrt(100.0 - 120.0 * slack)))
+    return arc_length / _newton(
+        lambda v: (slack * v - _sine_deficit(v)) / (slack - 2.0 * math.sin(0.5 * v)**2),
+        u, cfg, "side")
 
 
 def forward_geometry(fab: FabricationParams,

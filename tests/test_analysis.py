@@ -66,6 +66,16 @@ class TestSweep:
         assert not rec.feasible
         assert "side" in rec.failure_reason
 
+    def test_nan_entries_sort_last(self):
+        records = sweep_constant_perimeter(
+            558.0, [math.nan, 152.0, 127.0], [76.2, math.nan, 50.8])
+        keys = [(r.center_arc_length, r.strip_width) for r in records]
+        assert [k[0] for k in keys[::3]] == [127.0, 152.0, keys[6][0]]
+        assert math.isnan(keys[6][0])
+        assert [k[1] for k in keys[:2]] == [50.8, 76.2]
+        assert all(math.isnan(k[1]) for k in keys[2::3])
+        assert [r.feasible for r in records] == [True, True, False] * 2 + [False] * 3
+
     def test_validation(self):
         with pytest.raises(ValueError, match="perimeter"):
             sweep_constant_perimeter(0.0, [1.0], [0.5])

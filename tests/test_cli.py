@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -250,6 +251,39 @@ class TestTypedJobNumbers:
         assert capsys.readouterr().err == ""
 
 
+class TestOutputPaths:
+    # every output path is read and checked before anything is written
+    @pytest.mark.parametrize("mode, fields", [
+        ("forward", {"fab": {"S_c_mm": 152, "S_s_mm": 127, "L_mm": 76.2}}),
+        ("sweep", {"sweep": {"perimeter_mm": 558, "S_c_mm": [152],
+                             "L_mm": [76.2]}}),
+    ])
+    @pytest.mark.parametrize("output", [
+        {"json": 5}, {"json": [1]}, {"svg": 5}, {"svg": [1]}, {"csv": 5},
+        {"csv": [1]}, None, [1], 5,
+    ])
+    def test_bad_path_exit_1_before_output(self, tmp_path, capsys, mode,
+                                           fields, output):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({**fields, "output": output}),
+                       encoding="utf-8")
+        assert cli.main([mode, "--config", str(job)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "output" in err
+        assert list(tmp_path.iterdir()) == [job]
+
+    def test_null_path_writes_no_file(self, tmp_path, capsys):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(
+            {"fab": {"S_c_mm": 152, "S_s_mm": 127, "L_mm": 76.2},
+             "output": {"json": None, "svg": None}}), encoding="utf-8")
+        assert cli.main(["forward", "--config", str(job)]) == 0
+        assert json.loads(capsys.readouterr().out)["perimeter_mm"] == 558.0
+        assert list(tmp_path.iterdir()) == [job]
+
+
 def _field(valid):
     # a small valid number, or a value a numeric field must refuse or
     # report on: null, bools, strings, lists, negative, zero, non-finite,
@@ -366,6 +400,17 @@ class TestSweep:
         assert out.returncode == 0, out.stderr
         assert path.read_text(encoding="utf-8") == out.stdout
 
+    def test_nan_entries_sort_last_in_any_order(self, capsys):
+        outputs = set()
+        for grid in itertools.permutations(["127", "nan", "100"]):
+            assert cli.main(["sweep", "--perimeter", "558",
+                             "--sc", ",".join(grid), "--l", "50"]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
+        rows = outputs.pop().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["100", "127", "nan"]
+        assert rows[2].split(",")[7] == "false"
+
     def test_infinite_index_serialized(self):
         # equal channel heights: H_c == H_s == 1 at the tangent spec;
         # realize it as a sweep cell via its fabrication parameters
@@ -454,6 +499,18 @@ class TestCompare:
                       "--sc", 152, "--ss", 127, "--l", 76.2)
         assert out.returncode == 1
         assert "crosses itself" in out.stderr
+
+    def test_overflowing_outline_area_exit_1(self, tmp_path):
+        # finite coordinates whose shoelace products overflow
+        path = tmp_path / "huge.csv"
+        path.write_text("x_mm,y_mm\n1e308,1e308\n-1e308,1e308\n"
+                        "-1e308,-1e308\n1e308,-1e308\n", encoding="utf-8")
+        out = run_cli("compare", "--outline", path,
+                      "--sc", 152, "--ss", 127, "--l", 76.2)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.splitlines() == [
+            "crosssec: error: polygon area overflows the float range"]
 
     def test_missing_outline_file_exit_1(self):
         out = run_cli("compare", "--outline", "no_such_file.csv",

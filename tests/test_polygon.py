@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosssec import polygon
+from crosssec.errors import DegeneratePolygon
 from crosssec.polygon import MAX_ARC_SEGMENTS, Polygon, arc_points
 
 
@@ -168,6 +170,26 @@ def _polygon_or_none(points):
         return Polygon(points)
     except ValueError:  # fewer than 3 vertices once the closing one drops
         return None
+
+
+class TestHugeCoordinates:
+    SQUARE = [(1e308, 1e308), (-1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)]
+
+    def test_overflowing_area_refused_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegeneratePolygon, match="overflows"):
+                Polygon(self.SQUARE).signed_area()
+
+    def test_is_simple_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Polygon(self.SQUARE).is_simple()
+
+    def test_large_finite_area_kept(self):
+        square = Polygon([(1e150, 1e150), (-1e150, 1e150), (-1e150, -1e150),
+                          (1e150, -1e150)])
+        assert square.signed_area() == pytest.approx(4e300, rel=1e-15)
 
 
 class TestIsSimpleSweep:

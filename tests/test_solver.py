@@ -4,9 +4,9 @@ import pytest
 
 from crosssec.errors import NoBracket, NonConvergence
 from crosssec.geometry import FabricationParams
-from crosssec.solver import (OracleResult, RootFindConfig, _bracketed_root,
-                             area_max_oracle, forward_geometry,
-                             solve_center_arc_angle, solve_side_height)
+from crosssec.solver import (OracleResult, RootFindConfig, area_max_oracle,
+                             forward_geometry, solve_center_arc_angle,
+                             solve_side_height)
 from conftest import FROZEN, rel_err
 
 
@@ -21,32 +21,6 @@ class TestRootFindConfig:
             RootFindConfig(abs_tol=0.0)
         with pytest.raises(ValueError, match="max_iter"):
             RootFindConfig(max_iter=0)
-
-
-class TestBracketedRoot:
-    def test_finds_cosine_root(self):
-        root = _bracketed_root(math.cos, 1.0, 2.0, RootFindConfig(), "cos")
-        assert root == pytest.approx(0.5 * math.pi, abs=1e-12)
-
-    def test_exact_endpoint_root(self):
-        root = _bracketed_root(lambda x: x - 1.0, 1.0, 2.0,
-                               RootFindConfig(), "linear")
-        assert root == 1.0
-
-    def test_no_sign_change(self):
-        with pytest.raises(NoBracket, match="no sign change"):
-            _bracketed_root(lambda x: 1.0 + x * x, 0.0, 1.0,
-                            RootFindConfig(), "positive")
-
-    def test_iteration_budget(self):
-        with pytest.raises(NonConvergence, match="after 3 iterations"):
-            _bracketed_root(math.cos, 0.0, 3.0,
-                            RootFindConfig(abs_tol=1e-15, max_iter=3), "cos")
-
-    def test_channel_tag_in_message(self):
-        with pytest.raises(NoBracket, match="^side channel:"):
-            _bracketed_root(lambda x: 1.0, 0.0, 1.0, RootFindConfig(),
-                            "widget", channel="side")
 
 
 class TestSolveCenterArcAngle:
@@ -72,6 +46,11 @@ class TestSolveCenterArcAngle:
             solve_center_arc_angle(1.0, -1.0)
         with pytest.raises(ValueError):
             solve_center_arc_angle(math.inf, 1.0)
+
+    def test_underflowing_angle_has_no_solution(self):
+        # L / S_c overflows, so the arc angle 2 S_c / L underflows to zero
+        with pytest.raises(NoBracket, match="^center channel:"):
+            solve_center_arc_angle(1e-300, 1e10)
 
     def test_tight_budget_raises_tagged(self):
         with pytest.raises(NonConvergence, match="^center channel:"):
