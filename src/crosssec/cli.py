@@ -2,11 +2,15 @@
 
 Modes: inverse, forward, shape, sweep, oracle, compare, force.  Inputs
 come from a JSON job config (--config) and/or shorthand flags; flags
-override config fields.  Results print to stdout (canonical JSON, or CSV
-for sweeps) and can additionally be written to files.
+override config fields, and each mode has only the flags it reads.  A
+run resolves and checks every input first, then computes, then writes
+its output files, and prints its result (canonical JSON, or CSV for
+sweeps) last.
 
-Exit codes: 0 success; 1 malformed input or usage; 2 infeasible spec,
-non-convergent solve or oracle disagreement.
+Exit codes: 0 success; 1 malformed input, usage or an unwritable output
+path; 2 infeasible spec, non-convergent solve or oracle disagreement.
+Stdout is empty on exit 1 and 2, except for the feasibility report of an
+infeasible ``inverse``.
 """
 
 from __future__ import annotations
@@ -16,15 +20,14 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import (area_ratio, eversion_force, sweep_constant_perimeter,
-                       total_area)
+from .analysis import area_ratio, eversion_force, sweep_constant_perimeter
 from .errors import (DegeneratePolygon, InfeasibleSpec, OracleMismatch,
                      SolverError, check_number)
 from .geometry import DEFAULT_ARC_RESOLUTION, build_cross_section, validate_spec
 from .render import render_svg
 from .serialize import (fab_from_dict, fab_to_dict, oracle_to_dict,
                         read_outline_csv, report_to_dict, section_to_dict,
-                        spec_from_dict, spec_to_dict, sweep_to_csv, to_json)
+                        spec_from_dict, sweep_to_csv, to_json)
 from .solver import RootFindConfig, area_max_oracle, forward_geometry
 
 PROG = "crosssec"
@@ -37,71 +40,65 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+#: Flag group -> its flags as (option, type, help); a flag's value lands
+#: in the option's name (``--abs-tol`` in ``args.abs_tol``).
+_FLAGS = {
+    "spec": (("--hc", float, "center channel height H_c, mm"),
+             ("--hs", float, "side channel height H_s, mm"),
+             ("--w", float, "overall width w, mm")),
+    "fab": (("--sc", float, "center arc length S_c, mm"),
+            ("--ss", float, "side arc length S_s, mm"),
+            ("--l", float, "strip width L, mm")),
+    "sweep": (("--perimeter", float, "membrane perimeter, mm"),
+              ("--sc", str, "comma-separated center arc lengths, mm"),
+              ("--l", str, "comma-separated strip widths, mm")),
+    "oracle": (("--sc", float, "center arc length S_c, mm"),
+               ("--l", float, "strip width L, mm"),
+               ("--grid-points", int, "grid size (>= 1000; default 1000000)")),
+    "compare": (("--outline", str, "CSV of outline points (x_mm,y_mm)"),),
+    "force": (("--pressure-kpa", float, "inflation pressure, kPa"),
+              ("--area-mm2", float,
+               "cross-section area, mm^2 (alternative to geometry)")),
+    "solver": (("--abs-tol", float,
+                "solver Newton-step stop, rad (default: to roundoff)"),
+               ("--max-iter", int, "solver iteration budget (default 200)")),
+    "resolution": (("--arc-resolution", float,
+                    "polygonization max sagitta error, mm (default 1e-4)"),),
+    "json": (("--json", str, "also write the JSON result to PATH"),),
+    "svg": (("--svg", str, "also render the section to PATH"),),
+    "csv": (("--csv", str, "also write the CSV to PATH"),),
+}
+_OUTPUTS = ("json", "svg", "csv")
+
+#: Mode -> its help and the flag groups it reads.
+_MODES = {
+    "inverse": ("closed-form fabrication parameters for a spec",
+                ("spec", "json")),
+    "forward": ("solve inflated geometry from fabrication parameters",
+                ("fab", "solver", "resolution", "json", "svg")),
+    "shape": ("full inflated geometry for a spec",
+              ("spec", "resolution", "json", "svg")),
+    "sweep": ("constant-perimeter design sweep to CSV",
+              ("sweep", "solver", "csv")),
+    "oracle": ("brute-force area-maximum check for one (S_c, L)",
+               ("oracle", "solver", "json")),
+    "compare": ("measured outline area versus the model",
+                ("compare", "fab", "solver", "resolution", "json")),
+    "force": ("eversion force from pressure and area",
+              ("force", "fab", "spec", "solver", "resolution", "json")),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog=PROG, description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for mode, (help_text, groups) in _MODES.items():
+        p = sub.add_parser(mode, help=help_text)
         p.add_argument("--config", help="JSON job config file")
-        p.add_argument("--json", dest="json_path", metavar="PATH",
-                       help="also write the JSON result to PATH")
-        p.add_argument("--abs-tol", type=float, dest="abs_tol",
-                       help="solver Newton-step stop, rad (default: to roundoff)")
-        p.add_argument("--max-iter", type=int, dest="max_iter",
-                       help="solver iteration budget (default 200)")
-        p.add_argument("--arc-resolution", type=float, dest="arc_resolution",
-                       help="polygonization max sagitta error, mm (default 1e-4)")
-        return p
-
-    def spec_flags(p):
-        p.add_argument("--hc", type=float, help="center channel height H_c, mm")
-        p.add_argument("--hs", type=float, help="side channel height H_s, mm")
-        p.add_argument("--w", type=float, help="overall width w, mm")
-
-    def fab_flags(p):
-        p.add_argument("--sc", type=float, help="center arc length S_c, mm")
-        p.add_argument("--ss", type=float, help="side arc length S_s, mm")
-        p.add_argument("--l", type=float, help="strip width L, mm")
-
-    p = add("inverse", "closed-form fabrication parameters for a spec")
-    spec_flags(p)
-
-    p = add("forward", "solve inflated geometry from fabrication parameters")
-    fab_flags(p)
-    p.add_argument("--svg", dest="svg_path", metavar="PATH",
-                   help="also render the section to PATH")
-
-    p = add("shape", "full inflated geometry for a spec")
-    spec_flags(p)
-    p.add_argument("--svg", dest="svg_path", metavar="PATH",
-                   help="also render the section to PATH")
-
-    p = add("sweep", "constant-perimeter design sweep to CSV")
-    p.add_argument("--perimeter", type=float, help="membrane perimeter, mm")
-    p.add_argument("--sc", help="comma-separated center arc lengths, mm")
-    p.add_argument("--l", help="comma-separated strip widths, mm")
-    p.add_argument("--csv", dest="csv_path", metavar="PATH",
-                   help="also write the CSV to PATH")
-
-    p = add("oracle", "brute-force area-maximum check for one (S_c, L)")
-    p.add_argument("--sc", type=float, help="center arc length S_c, mm")
-    p.add_argument("--l", type=float, help="strip width L, mm")
-    p.add_argument("--grid-points", type=int, dest="grid_points",
-                   help="grid size (>= 1000; default 1000000)")
-
-    p = add("compare", "measured outline area versus the model")
-    p.add_argument("--outline", help="CSV of outline points (x_mm,y_mm)")
-    fab_flags(p)
-
-    p = add("force", "eversion force from pressure and area")
-    p.add_argument("--pressure-kpa", type=float, dest="pressure_kpa",
-                   help="inflation pressure, kPa")
-    p.add_argument("--area-mm2", type=float, dest="area_mm2",
-                   help="cross-section area, mm^2 (alternative to geometry)")
-    fab_flags(p)
-    spec_flags(p)
-
+        for group in groups:
+            for option, kind, help_flag in _FLAGS[group]:
+                p.add_argument(option, type=kind, help=help_flag,
+                               metavar="PATH" if group in _OUTPUTS else None)
     return parser
 
 
@@ -123,9 +120,17 @@ def _section_dict(config: dict, key: str) -> dict:
 
 
 def _pick(args, flag: str, section: dict, key: str, default=None):
-    # the flag's value if it was given, else the config field's
+    # the flag's value if the mode has the flag and it was given, else the
+    # config field's
     value = getattr(args, flag, None)
     return section.get(key, default) if value is None else value
+
+
+def _check_path(path, name: str):
+    # open() would take an int as a file descriptor (0 is stdin)
+    if path is not None and not isinstance(path, str):
+        raise ValueError(f"{name} must be a path string, got {path!r}")
+    return path
 
 
 #: Config section -> what it is, its (flag, field) pairs, its parser.
@@ -135,6 +140,12 @@ _RECORDS = {
     "fab": ("fab params", (("sc", "S_c_mm"), ("ss", "S_s_mm"), ("l", "L_mm")),
             fab_from_dict),
 }
+
+
+def _record_given(args, config, section: str) -> bool:
+    _, flags, _ = _RECORDS[section]
+    return bool(_section_dict(config, section)) or any(
+        getattr(args, flag, None) is not None for flag, _ in flags)
 
 
 def _resolve_record(args, config, section: str):
@@ -167,25 +178,16 @@ def _resolve_resolution(args, config) -> float:
     return check_number(value, "arc resolution", "positive")
 
 
-def _resolve_outputs(args, config) -> None:
-    # every output path, flag over config field, checked before any output
+def _resolve_outputs(args, config) -> dict:
+    # every output path, flag over config field, type-checked before any
+    # output; the mode writes the kinds it has a flag for
     section = _section_dict(config, "output")
-    for key in ("json", "svg", "csv"):
-        path = _pick(args, f"{key}_path", section, key)
-        if path is not None and not isinstance(path, str):
-            raise ValueError(f"output {key} must be a path string, got {path!r}")
-        setattr(args, f"{key}_path", path)
-
-
-def _write(path: str | None, text: str) -> None:
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-
-
-def _emit_json(doc, args) -> None:
-    text = to_json(doc)
-    sys.stdout.write(text)
-    _write(args.json_path, text)
+    paths = {}
+    for key in _OUTPUTS:
+        path = _check_path(_pick(args, key, section, key), f"output {key}")
+        if path is not None and hasattr(args, key):
+            paths[key] = path
+    return paths
 
 
 def _parse_grid(value, name: str) -> list[float]:
@@ -203,19 +205,18 @@ def _parse_grid(value, name: str) -> list[float]:
     return [check_number(v, name) for v in value]
 
 
-def _maybe_render(section, args) -> None:
-    if args.svg_path is not None:
-        _write(args.svg_path, render_svg(section))
+# Each command resolves its inputs, computes, and returns the stdout text
+# with the section an SVG output draws (None where the mode has none).
 
-
-def _cmd_inverse(args, config) -> int:
+def _cmd_inverse(args, config):
     spec = _resolve_record(args, config, "spec")
     report = validate_spec(spec)
     if not report.feasible:
+        # the one failure with stdout: the report says which conditions
         sys.stdout.write(to_json({"feasibility": report_to_dict(report)}))
         raise InfeasibleSpec(report.violations)
-    section = build_cross_section(spec, _resolve_resolution(args, config))
-    doc = {
+    section = build_cross_section(spec)
+    return to_json({
         "fab": fab_to_dict(section.fab),
         "derived": {
             "theta_c_rad": section.center.arc_angle,
@@ -224,29 +225,23 @@ def _cmd_inverse(args, config) -> int:
             "w_s_mm": section.sides[1].width,
         },
         "feasibility": report_to_dict(report),
-    }
-    _emit_json(doc, args)
-    return 0
+    }), None
 
 
-def _cmd_forward(args, config) -> int:
+def _cmd_forward(args, config):
     fab = _resolve_record(args, config, "fab")
     section = forward_geometry(fab, _resolve_solver(args, config),
                                _resolve_resolution(args, config))
-    _emit_json(section_to_dict(section), args)
-    _maybe_render(section, args)
-    return 0
+    return to_json(section_to_dict(section)), section
 
 
-def _cmd_shape(args, config) -> int:
+def _cmd_shape(args, config):
     spec = _resolve_record(args, config, "spec")
     section = build_cross_section(spec, _resolve_resolution(args, config))
-    _emit_json(section_to_dict(section), args)
-    _maybe_render(section, args)
-    return 0
+    return to_json(section_to_dict(section)), section
 
 
-def _cmd_sweep(args, config) -> int:
+def _cmd_sweep(args, config):
     sweep_cfg = _section_dict(config, "sweep")
     perimeter = _pick(args, "perimeter", sweep_cfg, "perimeter_mm")
     if perimeter is None:
@@ -257,13 +252,10 @@ def _cmd_sweep(args, config) -> int:
     perimeter = check_number(perimeter, "sweep perimeter_mm", "positive")
     records = sweep_constant_perimeter(perimeter, arcs, strips,
                                        _resolve_solver(args, config))
-    text = sweep_to_csv(records)
-    sys.stdout.write(text)
-    _write(args.csv_path, text)
-    return 0
+    return sweep_to_csv(records), None
 
 
-def _cmd_oracle(args, config) -> int:
+def _cmd_oracle(args, config):
     oracle_cfg = _section_dict(config, "oracle")
     fab_cfg = _section_dict(config, "fab")
     s_c = _pick(args, "sc", fab_cfg, "S_c_mm")
@@ -279,58 +271,54 @@ def _cmd_oracle(args, config) -> int:
     strip = check_number(strip, "L_mm", "non-negative")
     result = area_max_oracle(s_c, strip, grid_points,
                              _resolve_solver(args, config))
-    _emit_json(oracle_to_dict(s_c, strip, grid_points, result), args)
-    return 0
+    return to_json(oracle_to_dict(s_c, strip, grid_points, result)), None
 
 
-def _cmd_compare(args, config) -> int:
+def _cmd_compare(args, config):
     compare_cfg = _section_dict(config, "compare")
-    outline_path = _pick(args, "outline", compare_cfg, "outline_csv")
+    outline_path = _check_path(
+        _pick(args, "outline", compare_cfg, "outline_csv"), "compare outline")
     if outline_path is None:
         raise ValueError("compare needs --outline or config compare.outline_csv")
-    measured = read_outline_csv(outline_path)
     fab = _resolve_record(args, config, "fab")
+    solver = _resolve_solver(args, config)
     resolution = _resolve_resolution(args, config)
-    section = forward_geometry(fab, _resolve_solver(args, config), resolution)
-    ratio = area_ratio(measured, section, resolution)
-    doc = {
+    measured = read_outline_csv(outline_path)
+    section = forward_geometry(fab, solver, resolution)
+    return to_json({
         "measured_area_mm2": measured.signed_area(),
-        "model_area_mm2": total_area(section, resolution),
-        "area_ratio": ratio,
-    }
-    _emit_json(doc, args)
-    return 0
+        "model_area_mm2": section.total_area,
+        "area_ratio": area_ratio(measured, section, resolution),
+    }), None
 
 
-def _cmd_force(args, config) -> int:
+def _cmd_force(args, config):
     force_cfg = _section_dict(config, "force")
     pressure = _pick(args, "pressure_kpa", force_cfg, "pressure_kpa")
     if pressure is None:
         raise ValueError("force needs --pressure-kpa")
     pressure = check_number(pressure, "pressure_kpa", "non-negative")
     area = _pick(args, "area_mm2", force_cfg, "area_mm2")
+    if area is not None:
+        area = check_number(area, "area_mm2", "non-negative")
+    solver = _resolve_solver(args, config)
+    resolution = _resolve_resolution(args, config)
     if area is None:
-        resolution = _resolve_resolution(args, config)
-        has_fab = args.sc is not None or _section_dict(config, "fab")
-        has_spec = args.hc is not None or _section_dict(config, "spec")
-        if has_fab:
-            section = forward_geometry(_resolve_record(args, config, "fab"),
-                                       _resolve_solver(args, config), resolution)
-        elif has_spec:
-            section = build_cross_section(_resolve_record(args, config, "spec"),
-                                          resolution)
+        # the record any of whose flags or fields were given, fab first
+        if _record_given(args, config, "fab"):
+            area = forward_geometry(_resolve_record(args, config, "fab"),
+                                    solver, resolution).total_area
+        elif _record_given(args, config, "spec"):
+            area = build_cross_section(_resolve_record(args, config, "spec"),
+                                       resolution).total_area
         else:
             raise ValueError(
                 "force needs an area: --area-mm2, fab params or a spec")
-        area = total_area(section, resolution)
-    area = check_number(area, "area_mm2", "non-negative")
-    doc = {
+    return to_json({
         "pressure_kpa": pressure,
         "area_mm2": area,
         "force_n": eversion_force(pressure, area),
-    }
-    _emit_json(doc, args)
-    return 0
+    }), None
 
 
 _COMMANDS = {
@@ -351,8 +339,14 @@ def main(argv=None) -> int:
         if "mode" in config and config["mode"] != args.mode:
             raise ValueError(
                 f"config mode {config['mode']!r} does not match subcommand {args.mode!r}")
-        _resolve_outputs(args, config)
-        return _COMMANDS[args.mode](args, config)
+        paths = _resolve_outputs(args, config)
+        text, section = _COMMANDS[args.mode](args, config)
+        # files first, stdout last: a failed write leaves stdout empty
+        for key, path in paths.items():
+            Path(path).write_text(render_svg(section) if key == "svg" else text,
+                                  encoding="utf-8")
+        sys.stdout.write(text)
+        return 0
     except (ValueError, OSError, DegeneratePolygon) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1

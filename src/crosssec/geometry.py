@@ -242,14 +242,19 @@ def feasibility_discriminant(spec: DesignSpec) -> float:
     With h = center_height, s = side_height, w = width:
 
         gamma = 4 s (h^2 s - h^2 w - w^2 s + w^3) - (w^2 - h^2)^2
+              = (w - h)(h + 2s - w)(w + h)(w + h - 2s)
 
     Non-negative exactly when the duct dimensions admit a real strip
     width; scales as k^4 under uniform scaling by k.  Algebraically equal
     to ``4 h^2 (w - s)^2 - (w^2 + h^2 - 2 w s)^2``, which ties it to the
-    arcsin-argument condition of :func:`validate_spec`.
+    arcsin-argument condition of :func:`validate_spec`.  Evaluated in the
+    factored form: each factor is one rounded sum, so a factor that is
+    exactly zero (the tangent spec ``(h, h, 3h)`` has ``h + 2s - w = 0``)
+    makes gamma exactly zero, where the expanded polynomial leaves
+    roundoff that ``sqrt`` magnifies into a strip width.
     """
     h, s, w = spec.center_height, spec.side_height, spec.width
-    return 4.0 * s * (h * h * s - h * h * w - w * w * s + w**3) - (w * w - h * h) ** 2
+    return (w - h) * (h + 2.0 * s - w) * (w + h) * (w + h - 2.0 * s)
 
 
 def _center_sine(spec: DesignSpec) -> float:

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import pathlib
+import tempfile
 import warnings
 
 import pytest
@@ -345,6 +347,38 @@ _JOBS = {
         optional={"arc_resolution_mm": _RESOLUTION}),
 }
 
+# an output section: paths are placeholders that the test maps under a
+# fresh temporary directory, never the working directory
+_PATH = st.one_of(st.sampled_from(["<file>", "<missing>", "<dir>"]),
+                  st.one_of(st.none(), st.integers(),
+                            st.lists(st.integers(), max_size=1)))
+_OUTPUT = st.one_of(st.dictionaries(st.sampled_from(["json", "svg", "csv"]),
+                                    _PATH, max_size=3),
+                    st.one_of(st.none(), st.integers(),
+                              st.lists(_PATH, max_size=2)))
+#: the output kinds each mode writes
+_WRITES = {"forward": {"json", "svg"}, "shape": {"json", "svg"},
+           "sweep": {"csv"}}
+
+
+def _place(path, key, tmp):
+    return {"<file>": str(tmp / f"out.{key}"),
+            "<missing>": str(tmp / "missing" / f"out.{key}"),
+            "<dir>": str(tmp)}.get(path, path) if isinstance(path, str) else path
+
+
+def _docs_job(mode):
+    # the docs example job, its outline path absolute, its oracle grid small
+    config = json.loads((REPO / f"docs/examples/job_{mode}.json").read_text(
+        encoding="utf-8"))
+    config.pop("output", None)
+    if mode == "compare":
+        config["compare"]["outline_csv"] = str(
+            REPO / config["compare"]["outline_csv"])
+    if mode == "oracle":
+        config["oracle"]["grid_points"] = 1000
+    return config
+
 
 class TestFuzzedJobConfigs:
     # capsys is drained at the start of every example, so sharing the
@@ -356,17 +390,55 @@ class TestFuzzedJobConfigs:
     def test_every_config_ends_in_an_exit_code(self, tmp_path_factory,
                                                capsys, mode, data):
         config = data.draw(_JOBS[mode], label="config")
-        job = tmp_path_factory.getbasetemp() / f"fuzz_{mode}.json"
-        job.write_text(json.dumps(config), encoding="utf-8")
-        capsys.readouterr()
-        # a warning would print more lines to stderr, so it fails here
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = cli.main([mode, "--config", str(job)])
-        out, err = capsys.readouterr()
-        assert code in (0, 1, 2)
-        assert len(err.splitlines()) <= 1
-        assert "Traceback" not in out + err
+        output = data.draw(st.one_of(st.just({}), _OUTPUT), label="output")
+        self.check(tmp_path_factory, capsys, mode, config, output)
+
+    @pytest.mark.parametrize("mode", sorted(_JOBS))
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(output=_OUTPUT)
+    def test_valid_job_with_any_output(self, tmp_path_factory, capsys, mode,
+                                       output):
+        self.check(tmp_path_factory, capsys, mode, _docs_job(mode), output)
+
+    @staticmethod
+    def check(tmp_path_factory, capsys, mode, config, output):
+        with tempfile.TemporaryDirectory(
+                dir=tmp_path_factory.getbasetemp()) as tmp:
+            tmp = pathlib.Path(tmp)
+            if output != {}:
+                config["output"] = {k: _place(v, k, tmp) for k, v in
+                                    output.items()} \
+                    if isinstance(output, dict) else output
+            job = tmp / "job.json"
+            job.write_text(json.dumps(config), encoding="utf-8")
+            capsys.readouterr()
+            # a warning would print more lines to stderr, so it fails here
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main([mode, "--config", str(job)])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2)
+            assert len(err.splitlines()) <= 1
+            assert "Traceback" not in out + err
+            if code == 1 or (code == 2 and mode != "inverse"):
+                assert out == ""
+            elif code == 2:
+                # infeasible inverse prints only its feasibility report
+                assert out == "" or list(json.loads(out)) == ["feasibility"]
+            else:
+                # the mode writes each file it has a kind for, and no other
+                written = {key for key, path in output.items()
+                           if path == "<file>"
+                           and key in _WRITES.get(mode, {"json"})}
+                assert sorted(p.name for p in tmp.iterdir()) == sorted(
+                    ["job.json", *(f"out.{key}" for key in written)])
+                for key in written:
+                    text = (tmp / f"out.{key}").read_text(encoding="utf-8")
+                    if key == "svg":
+                        assert text.startswith("<?xml")
+                    else:
+                        assert text == out
 
 
 class TestSweep:

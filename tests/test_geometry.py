@@ -208,6 +208,23 @@ class TestZeroStripWidth:
             assert angle <= 2.0 * math.pi
             assert rel_err(angle, 2.0 * math.pi) < 1e-6
 
+    def test_tangent_specs_give_exactly_zero_strip(self):
+        # the factored discriminant is exactly 0 here; the expanded
+        # polynomial left roundoff whose sqrt came out as a non-zero strip
+        # width for about a third of all h
+        rng = np.random.default_rng(2026)
+        for h in 10.0 ** rng.uniform(-3.0, 6.0, size=20000):
+            fab = inverse_design(DesignSpec(h, h, 3.0 * h))
+            assert fab.strip_width == 0.0
+            assert fab.side_arc_length == math.pi * h
+        for h in 10.0 ** rng.uniform(-3.0, 6.0, size=500):
+            side = build_cross_section(DesignSpec(h, h, 3.0 * h),
+                                       arc_resolution=1e-2 * h).sides[1]
+            # a full turn: S_s / (H_s / 2) is a rounded quotient, so the
+            # angle may sit one ulp below 2 pi, never further
+            assert side.conjugate_arc_length == 0.0
+            assert 0.0 <= 2.0 * math.pi - side.arc_angle <= math.ulp(2.0 * math.pi)
+
 
 class TestPolygonization:
     def test_side_area_matches_closed_form(self, s1_section):
