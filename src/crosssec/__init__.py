@@ -24,9 +24,8 @@ from .geometry import (CenterChannel, CrossSection, DesignSpec,
                        validate_spec)
 from .polygon import Polygon, arc_points
 from .render import render_svg
-from .solver import (OracleResult, RootFindConfig, area_max_oracle,
-                     forward_geometry, solve_center_arc_angle,
-                     solve_side_height)
+from .solver import (OracleResult, area_max_oracle, forward_geometry,
+                     solve_center_arc_angle, solve_side_height)
 
 __version__ = "0.1.0"
 
@@ -46,7 +45,6 @@ __all__ = [
     "OracleMismatch",
     "OracleResult",
     "Polygon",
-    "RootFindConfig",
     "SideChannel",
     "SolverError",
     "SweepRecord",

@@ -13,7 +13,7 @@ from .errors import DegeneratePolygon, SolverError, check_number
 from .geometry import (CrossSection, DEFAULT_ARC_RESOLUTION,
                        FabricationParams, side_channel_polygon)
 from .polygon import Polygon
-from .solver import DEFAULT_CONFIG, RootFindConfig, forward_geometry
+from .solver import forward_geometry
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,7 @@ def _nan_last(value: float) -> tuple[bool, float]:
 
 def sweep_constant_perimeter(perimeter: float,
                              center_arc_lengths,
-                             strip_widths,
-                             cfg: RootFindConfig = DEFAULT_CONFIG) -> tuple[SweepRecord, ...]:
+                             strip_widths) -> tuple[SweepRecord, ...]:
     """Evaluate every (S_c, L) cell at a fixed membrane perimeter.
 
     The side arc length of each cell is ``perimeter / 2 - S_c``.  Grids
@@ -101,12 +100,11 @@ def sweep_constant_perimeter(perimeter: float,
     for s_c in arcs:
         s_s = 0.5 * perimeter - s_c
         for l in strips:
-            records.append(_sweep_cell(s_c, s_s, l, cfg))
+            records.append(_sweep_cell(s_c, s_s, l))
     return tuple(records)
 
 
-def _sweep_cell(s_c: float, s_s: float, l: float,
-                cfg: RootFindConfig) -> SweepRecord:
+def _sweep_cell(s_c: float, s_s: float, l: float) -> SweepRecord:
     reason = None
     if s_s <= 0.0:
         reason = f"side arc length {s_s:.9g} <= 0 at this perimeter"
@@ -114,7 +112,7 @@ def _sweep_cell(s_c: float, s_s: float, l: float,
         reason = "strip width < 0"
     else:
         try:
-            section = forward_geometry(FabricationParams(s_c, s_s, l), cfg)
+            section = forward_geometry(FabricationParams(s_c, s_s, l))
         except (SolverError, ValueError) as exc:
             reason = str(exc)
         else:

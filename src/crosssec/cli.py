@@ -2,10 +2,10 @@
 
 Modes: inverse, forward, shape, sweep, oracle, compare, force.  Inputs
 come from a JSON job config (--config) and/or shorthand flags; flags
-override config fields, and each mode has only the flags it reads.  A
-run resolves and checks every input first, then computes, then writes
-its output files, and prints its result (canonical JSON, or CSV for
-sweeps) last.
+override config fields, and each mode takes only the flags and config
+keys it reads.  A run resolves and checks every input first, then
+computes, then writes its output files, and prints its result (canonical
+JSON, or CSV for sweeps) last.
 
 Exit codes: 0 success; 1 malformed input, usage or an unwritable output
 path; 2 infeasible spec, non-convergent solve or oracle disagreement.
@@ -28,7 +28,7 @@ from .render import render_svg
 from .serialize import (fab_from_dict, fab_to_dict, oracle_to_dict,
                         read_outline_csv, report_to_dict, section_to_dict,
                         spec_from_dict, sweep_to_csv, to_json)
-from .solver import RootFindConfig, area_max_oracle, forward_geometry
+from .solver import area_max_oracle, forward_geometry
 
 PROG = "crosssec"
 
@@ -41,7 +41,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 #: Flag group -> its flags as (option, type, help); a flag's value lands
-#: in the option's name (``--abs-tol`` in ``args.abs_tol``).
+#: in the option's name (``--grid-points`` in ``args.grid_points``).  A
+#: group is named after the config key it overrides, or the ``output``
+#: kind it writes.
 _FLAGS = {
     "spec": (("--hc", float, "center channel height H_c, mm"),
              ("--hs", float, "side channel height H_s, mm"),
@@ -59,33 +61,32 @@ _FLAGS = {
     "force": (("--pressure-kpa", float, "inflation pressure, kPa"),
               ("--area-mm2", float,
                "cross-section area, mm^2 (alternative to geometry)")),
-    "solver": (("--abs-tol", float,
-                "solver Newton-step stop, rad (default: to roundoff)"),
-               ("--max-iter", int, "solver iteration budget (default 200)")),
-    "resolution": (("--arc-resolution", float,
-                    "polygonization max sagitta error, mm (default 1e-4)"),),
+    "arc_resolution_mm": (("--arc-resolution", float,
+                           "polygonization max sagitta error, mm "
+                           "(default 1e-4)"),),
     "json": (("--json", str, "also write the JSON result to PATH"),),
     "svg": (("--svg", str, "also render the section to PATH"),),
     "csv": (("--csv", str, "also write the CSV to PATH"),),
 }
 _OUTPUTS = ("json", "svg", "csv")
 
-#: Mode -> its help and the flag groups it reads.
+#: Mode -> its help and the flag groups it reads; a job config may hold
+#: only their keys (``output.<kind>`` for the outputs) and ``mode``.
 _MODES = {
     "inverse": ("closed-form fabrication parameters for a spec",
                 ("spec", "json")),
     "forward": ("solve inflated geometry from fabrication parameters",
-                ("fab", "solver", "resolution", "json", "svg")),
+                ("fab", "arc_resolution_mm", "json", "svg")),
     "shape": ("full inflated geometry for a spec",
-              ("spec", "resolution", "json", "svg")),
+              ("spec", "arc_resolution_mm", "json", "svg")),
     "sweep": ("constant-perimeter design sweep to CSV",
-              ("sweep", "solver", "csv")),
+              ("sweep", "csv")),
     "oracle": ("brute-force area-maximum check for one (S_c, L)",
-               ("oracle", "solver", "json")),
+               ("oracle", "json")),
     "compare": ("measured outline area versus the model",
-                ("compare", "fab", "solver", "resolution", "json")),
+                ("compare", "fab", "arc_resolution_mm", "json")),
     "force": ("eversion force from pressure and area",
-              ("force", "fab", "spec", "solver", "resolution", "json")),
+              ("force", "fab", "spec", "arc_resolution_mm", "json")),
 }
 
 
@@ -164,29 +165,36 @@ def _resolve_record(args, config, section: str):
     return from_dict(fields)
 
 
-def _resolve_solver(args, config) -> RootFindConfig:
-    # RootFindConfig checks both values
-    fields = _section_dict(config, "solver")
-    return RootFindConfig(abs_tol=_pick(args, "abs_tol", fields, "abs_tol"),
-                          max_iter=_pick(args, "max_iter", fields, "max_iter",
-                                         200))
-
-
 def _resolve_resolution(args, config) -> float:
     value = _pick(args, "arc_resolution", config, "arc_resolution_mm",
                   DEFAULT_ARC_RESOLUTION)
     return check_number(value, "arc resolution", "positive")
 
 
+def _check_keys(mode: str, config: dict):
+    # a key the mode does not read would change nothing, so it is refused
+    groups = set(_MODES[mode][1])
+    kinds = groups & set(_OUTPUTS)
+    read = (groups - kinds) | {"mode", "output"}
+    if mode == "oracle":
+        read.add("fab")  # its --sc and --l override fab's S_c_mm and L_mm
+    unread = [key for key in config if key not in read] + [
+        f"output.{kind}" for kind in _section_dict(config, "output")
+        if kind not in kinds]
+    if unread:
+        raise ValueError(f"{mode} does not read config key {unread[0]!r}")
+
+
 def _resolve_outputs(args, config) -> dict:
-    # every output path, flag over config field, type-checked before any
-    # output; the mode writes the kinds it has a flag for
+    # the path of each kind the mode writes, flag over config field,
+    # type-checked before any output
     section = _section_dict(config, "output")
     paths = {}
     for key in _OUTPUTS:
-        path = _check_path(_pick(args, key, section, key), f"output {key}")
-        if path is not None and hasattr(args, key):
-            paths[key] = path
+        if hasattr(args, key):
+            path = _check_path(_pick(args, key, section, key), f"output {key}")
+            if path is not None:
+                paths[key] = path
     return paths
 
 
@@ -230,8 +238,7 @@ def _cmd_inverse(args, config):
 
 def _cmd_forward(args, config):
     fab = _resolve_record(args, config, "fab")
-    section = forward_geometry(fab, _resolve_solver(args, config),
-                               _resolve_resolution(args, config))
+    section = forward_geometry(fab, _resolve_resolution(args, config))
     return to_json(section_to_dict(section)), section
 
 
@@ -250,8 +257,7 @@ def _cmd_sweep(args, config):
                        "--sc / sweep.S_c_mm")
     strips = _parse_grid(_pick(args, "l", sweep_cfg, "L_mm"), "--l / sweep.L_mm")
     perimeter = check_number(perimeter, "sweep perimeter_mm", "positive")
-    records = sweep_constant_perimeter(perimeter, arcs, strips,
-                                       _resolve_solver(args, config))
+    records = sweep_constant_perimeter(perimeter, arcs, strips)
     return sweep_to_csv(records), None
 
 
@@ -269,8 +275,7 @@ def _cmd_oracle(args, config):
         "oracle grid_points", "integer")
     s_c = check_number(s_c, "S_c_mm", "positive")
     strip = check_number(strip, "L_mm", "non-negative")
-    result = area_max_oracle(s_c, strip, grid_points,
-                             _resolve_solver(args, config))
+    result = area_max_oracle(s_c, strip, grid_points)
     return to_json(oracle_to_dict(s_c, strip, grid_points, result)), None
 
 
@@ -281,10 +286,9 @@ def _cmd_compare(args, config):
     if outline_path is None:
         raise ValueError("compare needs --outline or config compare.outline_csv")
     fab = _resolve_record(args, config, "fab")
-    solver = _resolve_solver(args, config)
     resolution = _resolve_resolution(args, config)
     measured = read_outline_csv(outline_path)
-    section = forward_geometry(fab, solver, resolution)
+    section = forward_geometry(fab, resolution)
     return to_json({
         "measured_area_mm2": measured.signed_area(),
         "model_area_mm2": section.total_area,
@@ -301,13 +305,12 @@ def _cmd_force(args, config):
     area = _pick(args, "area_mm2", force_cfg, "area_mm2")
     if area is not None:
         area = check_number(area, "area_mm2", "non-negative")
-    solver = _resolve_solver(args, config)
     resolution = _resolve_resolution(args, config)
     if area is None:
         # the record any of whose flags or fields were given, fab first
         if _record_given(args, config, "fab"):
             area = forward_geometry(_resolve_record(args, config, "fab"),
-                                    solver, resolution).total_area
+                                    resolution).total_area
         elif _record_given(args, config, "spec"):
             area = build_cross_section(_resolve_record(args, config, "spec"),
                                        resolution).total_area
@@ -339,6 +342,7 @@ def main(argv=None) -> int:
         if "mode" in config and config["mode"] != args.mode:
             raise ValueError(
                 f"config mode {config['mode']!r} does not match subcommand {args.mode!r}")
+        _check_keys(args.mode, config)
         paths = _resolve_outputs(args, config)
         text, section = _COMMANDS[args.mode](args, config)
         # files first, stdout last: a failed write leaves stdout empty

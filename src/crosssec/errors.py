@@ -98,7 +98,7 @@ class NoBracket(SolverError):
 
 
 class NonConvergence(SolverError):
-    """The Newton solve exhausted max_iter before it stopped moving."""
+    """The Newton solve was still moving after its fixed step cap."""
 
 
 class DegeneratePolygon(CrossSecError):

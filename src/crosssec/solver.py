@@ -16,10 +16,10 @@ from ._arcmath import (center_area, center_area_derivative, check_arc,
                        strip_fit_residual)
 from .errors import NoBracket, NonConvergence, OracleMismatch, check_number
 from .geometry import CrossSection, DesignSpec, FabricationParams, \
-    DEFAULT_ARC_RESOLUTION, _assemble, _check_fields
+    DEFAULT_ARC_RESOLUTION, _assemble
 
 __all__ = [
-    "RootFindConfig", "OracleResult", "center_area", "center_area_derivative",
+    "OracleResult", "center_area", "center_area_derivative",
     "solve_center_arc_angle", "solve_side_height", "forward_geometry",
     "area_max_oracle", "MAX_GRID_POINTS",
 ]
@@ -27,35 +27,15 @@ __all__ = [
 #: End clearance of the oracle grid (rad).
 _GRID_EPS = 1e-6
 
+#: Newton steps before NonConvergence, a guard against unbounded time:
+#: over scales 1e-3..1e6 mm, L/S_c 1e-12..1e12 and 1 - L/S_s 10^-15.5..1
+#: the center solve stops within 6 steps and the side solve within 8
+#: (tests/test_solver.py::TestStepCount).
+_MAX_STEPS = 200
+
 #: Largest oracle grid; a scan costs about 35 ns per point on one CPU and
 #: about 20 ns on two (2-CPU Xeon VM), so this one takes 2 to 4 s.
 MAX_GRID_POINTS = 100_000_000
-
-
-@dataclass(frozen=True)
-class RootFindConfig:
-    """Stopping rules for the Newton solves of both channels.
-
-    Attributes:
-        abs_tol: Newton-step stop in the root variable's units (rad),
-            positive and finite; None (default) iterates until the step
-            stops shrinking toward the root, i.e. to roundoff.
-        max_iter: Iteration budget before NonConvergence, an integer >= 1;
-            each iteration evaluates the residual once.
-    """
-
-    abs_tol: float | None = None
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol is not None:
-            _check_fields(self, "positive", "abs_tol")
-        _check_fields(self, "integer", "max_iter")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
-
-
-DEFAULT_CONFIG = RootFindConfig()
 
 
 @dataclass(frozen=True)
@@ -83,27 +63,28 @@ class OracleResult:
     parabolic_argmax: float
 
 
-def _newton(step, x: float, cfg: RootFindConfig, channel: str) -> float:
+def _newton(step, x: float, channel: str) -> float:
     """Newton's method, with no bracket, from ``x`` right of the root of f.
 
     ``step(x)`` is ``f(x) / f'(x)`` for an f concave and decreasing between
     its root and ``x``, so the iterates fall monotonically onto the root.
-    Stops at the first step that does not move left (roundoff has reached
-    the root) or, given ``cfg.abs_tol``, at a step that short.
+    Stops at the first step that does not move left: roundoff has reached
+    the root.
+
+    Raises:
+        NonConvergence: still moving after ``_MAX_STEPS`` steps, tagged
+            with ``channel``.
     """
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_STEPS):
         x_next = x - step(x)
         if not x_next < x:
             return x
-        if cfg.abs_tol is not None and x - x_next <= cfg.abs_tol:
-            return x_next
         x = x_next
-    raise NonConvergence(f"Newton solve still moving after {cfg.max_iter} "
+    raise NonConvergence(f"Newton solve still moving after {_MAX_STEPS} "
                          "steps", channel=channel)
 
 
-def solve_center_arc_angle(arc_length: float, strip_width: float,
-                           cfg: RootFindConfig = DEFAULT_CONFIG) -> float:
+def solve_center_arc_angle(arc_length: float, strip_width: float) -> float:
     """Arc angle at which the center arcs fit the strip width (rad).
 
     Roots ``strip_fit_residual(1.0, rho, theta)``, ``rho = strip_width /
@@ -115,7 +96,8 @@ def solve_center_arc_angle(arc_length: float, strip_width: float,
         ValueError: arc_length <= 0, strip_width < 0, or a non-finite or
             non-numeric input.
         NoBracket: the strip so dwarfs the arcs that the angle underflows.
-        NonConvergence: the iteration budget ran out.
+        NonConvergence: the solve was still moving after ``_MAX_STEPS``
+            steps, which no tested input comes near.
     """
     arc_length, strip_width = check_arc(arc_length, strip_width)
     rho = strip_width / arc_length
@@ -125,7 +107,7 @@ def solve_center_arc_angle(arc_length: float, strip_width: float,
                         f"{arc_length:.9g} no float angle", channel="center")
     return _newton(  # the residual's slope is -(sin(theta/2) + rho) / 2
         lambda t: -2.0 * strip_fit_residual(1.0, rho, t) / (math.sin(0.5 * t) + rho),
-        theta, cfg, "center")
+        theta, "center")
 
 
 def _sine_deficit(u: float) -> float:
@@ -137,8 +119,7 @@ def _sine_deficit(u: float) -> float:
                     + t**4 / 39916800 - t**5 / 6227020800 + t**6 / 1307674368000)
 
 
-def solve_side_height(arc_length: float, strip_width: float,
-                      cfg: RootFindConfig = DEFAULT_CONFIG) -> float:
+def solve_side_height(arc_length: float, strip_width: float) -> float:
     """Side-channel height whose arc of given length spans the strip chord.
 
     Solves ``strip_width = H sin(arc_length / H)`` with the side arc angle
@@ -154,7 +135,8 @@ def solve_side_height(arc_length: float, strip_width: float,
         ValueError: arc_length <= 0, strip_width < 0, or a non-finite or
             non-numeric input.
         NoBracket: strip_width >= arc_length.
-        NonConvergence: the iteration budget ran out.
+        NonConvergence: the solve was still moving after ``_MAX_STEPS``
+            steps, which no tested input comes near.
     """
     arc_length, strip_width = check_arc(arc_length, strip_width)
     if strip_width >= arc_length:
@@ -167,11 +149,10 @@ def solve_side_height(arc_length: float, strip_width: float,
         120.0 * slack / (10.0 + math.sqrt(100.0 - 120.0 * slack)))
     return arc_length / _newton(
         lambda v: (slack * v - _sine_deficit(v)) / (slack - 2.0 * math.sin(0.5 * v)**2),
-        u, cfg, "side")
+        u, "side")
 
 
 def forward_geometry(fab: FabricationParams,
-                     cfg: RootFindConfig = DEFAULT_CONFIG,
                      arc_resolution: float = DEFAULT_ARC_RESOLUTION) -> CrossSection:
     """Inflated geometry realized by the given fabrication parameters.
 
@@ -183,9 +164,9 @@ def forward_geometry(fab: FabricationParams,
         NoBracket / NonConvergence: from either channel's solve, tagged
             with the channel name.
     """
-    theta_c = solve_center_arc_angle(fab.center_arc_length, fab.strip_width, cfg)
+    theta_c = solve_center_arc_angle(fab.center_arc_length, fab.strip_width)
     center_height = 2.0 * fab.center_arc_length / theta_c
-    side_height = solve_side_height(fab.side_arc_length, fab.strip_width, cfg)
+    side_height = solve_side_height(fab.side_arc_length, fab.strip_width)
     width_c = center_height * math.sin(fab.center_arc_length / center_height)
     theta_s = 2.0 * fab.side_arc_length / side_height
     width_s = 0.5 * side_height * (1.0 + math.cos(math.pi - 0.5 * theta_s))
@@ -194,8 +175,7 @@ def forward_geometry(fab: FabricationParams,
 
 
 def area_max_oracle(arc_length: float, strip_width: float,
-                    grid_points: int = 1_000_000,
-                    cfg: RootFindConfig = DEFAULT_CONFIG) -> OracleResult:
+                    grid_points: int = 1_000_000) -> OracleResult:
     """Brute-force check that the strip-fit angle maximizes center area.
 
     Scans the center-area function on a uniform grid over
@@ -219,7 +199,7 @@ def area_max_oracle(arc_length: float, strip_width: float,
         raise ValueError(
             f"grid_points <= {MAX_GRID_POINTS} required, got {grid_points:.9g}")
     arc_length, strip_width = check_arc(arc_length, strip_width)
-    root = solve_center_arc_angle(arc_length, strip_width, cfg)
+    root = solve_center_arc_angle(arc_length, strip_width)
     lo = _GRID_EPS
     hi = 2.0 * math.pi - _GRID_EPS
     idx, theta, _ = kernels.center_area_grid_argmax(

@@ -151,33 +151,20 @@ class TestArcResolution:
         assert len(out.stderr.strip().splitlines()) == 1
         assert "arc resolution must be" in out.stderr
 
-    @pytest.mark.parametrize("mode, section, value, message", [
-        ("forward", {"max_iter": None}, None, "max_iter must be a number"),
-        ("forward", {"max_iter": True}, None, "max_iter must be a number"),
-        ("forward", {"max_iter": 20.5}, None, "max_iter must be an integer"),
-        ("forward", {"max_iter": "200"}, None, "max_iter must be a number"),
-        ("forward", {"abs_tol": "1e-3"}, None, "abs_tol must be a number"),
-        ("forward", {"abs_tol": True}, None, "abs_tol must be a number"),
-        ("forward", {"abs_tol": -1e-3}, None, "abs_tol must be positive"),
-        ("forward", {"abs_tol": 1e400}, None, "abs_tol must be positive"),
-        ("oracle", None, None, "grid_points must be a number"),
-        ("oracle", None, True, "grid_points must be a number"),
-        ("oracle", None, 1500.7, "grid_points must be an integer"),
-        ("oracle", None, "1000", "grid_points must be a number"),
-        ("oracle", None, 1e300, "grid_points <= 100000000 required"),
-        ("oracle", None, 1_000_000_000, "grid_points <= 100000000 required"),
+    @pytest.mark.parametrize("value, message", [
+        (None, "grid_points must be a number"),
+        (True, "grid_points must be a number"),
+        (1500.7, "grid_points must be an integer"),
+        ("1000", "grid_points must be a number"),
+        (1e300, "grid_points <= 100000000 required"),
+        (1_000_000_000, "grid_points <= 100000000 required"),
     ])
-    def test_unusable_solver_or_grid_value_exit_1(self, tmp_path, mode,
-                                                  section, value, message):
-        config = {"mode": mode,
-                  "fab": {"S_c_mm": 152.0, "S_s_mm": 127.0, "L_mm": 76.2}}
-        if mode == "forward":
-            config["solver"] = section
-        else:
-            config["oracle"] = {"grid_points": value}
+    def test_unusable_grid_value_exit_1(self, tmp_path, value, message):
         job = tmp_path / "job.json"
-        job.write_text(json.dumps(config), encoding="utf-8")
-        out = run_cli(mode, "--config", job)
+        job.write_text(json.dumps({
+            "mode": "oracle", "fab": {"S_c_mm": 152.0, "L_mm": 76.2},
+            "oracle": {"grid_points": value}}), encoding="utf-8")
+        out = run_cli("oracle", "--config", job)
         assert out.returncode == 1
         assert out.stdout == ""
         assert len(out.stderr.strip().splitlines()) == 1
@@ -187,7 +174,7 @@ class TestArcResolution:
         job = tmp_path / "job.json"
         job.write_text(json.dumps({
             "fab": {"S_c_mm": 152.0, "L_mm": 76.2},
-            "oracle": {"grid_points": 1e4}, "solver": {"max_iter": 200.0}}),
+            "oracle": {"grid_points": 1e4}}),
             encoding="utf-8")
         out = run_cli("oracle", "--config", job)
         assert out.returncode == 0, out.stderr
@@ -309,9 +296,6 @@ def _fab(keys=("S_c_mm", "S_s_mm", "L_mm")):
 _SPEC = st.fixed_dictionaries({"H_c_mm": _field(st.floats(50.0, 150.0)),
                                "H_s_mm": _field(st.floats(20.0, 100.0)),
                                "w_mm": _field(st.floats(50.0, 300.0))})
-_SOLVER = st.fixed_dictionaries({}, optional={
-    "abs_tol": _field(st.floats(1e-12, 1e-3)),
-    "max_iter": _field(st.integers(1, 300))})
 _RESOLUTION = _field(st.floats(1e-3, 1.0))
 _GRID = st.one_of(st.lists(_field(st.floats(0.0, 400.0)), min_size=1,
                            max_size=3), _field(st.floats(0.0, 400.0)))
@@ -322,23 +306,20 @@ _JOBS = {
     "shape": st.fixed_dictionaries(
         {"spec": _SPEC}, optional={"arc_resolution_mm": _RESOLUTION}),
     "forward": st.fixed_dictionaries(
-        {"fab": _fab()},
-        optional={"solver": _SOLVER, "arc_resolution_mm": _RESOLUTION}),
+        {"fab": _fab()}, optional={"arc_resolution_mm": _RESOLUTION}),
     "sweep": st.fixed_dictionaries(
         {"sweep": st.fixed_dictionaries(
             {"perimeter_mm": _field(st.floats(100.0, 1000.0)),
-             "S_c_mm": _GRID, "L_mm": _GRID})},
-        optional={"solver": _SOLVER}),
+             "S_c_mm": _GRID, "L_mm": _GRID})}),
     "oracle": st.fixed_dictionaries(
         {"fab": _fab(("S_c_mm", "L_mm")),
          "oracle": st.fixed_dictionaries(
-             {"grid_points": _field(st.integers(1000, 5000))})},
-        optional={"solver": _SOLVER}),
+             {"grid_points": _field(st.integers(1000, 5000))})}),
     "compare": st.fixed_dictionaries(
         {"fab": _fab(),
          "compare": st.just(
              {"outline_csv": str(REPO / "docs/examples/outline.csv")})},
-        optional={"solver": _SOLVER, "arc_resolution_mm": _RESOLUTION}),
+        optional={"arc_resolution_mm": _RESOLUTION}),
     "force": st.fixed_dictionaries(
         {"force": st.fixed_dictionaries(
             {"pressure_kpa": _field(st.floats(0.0, 100.0))},

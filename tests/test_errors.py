@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FROZEN
-from crosssec import (DesignSpec, FabricationParams, RootFindConfig,
-                      arc_points, area_max_oracle, center_area,
-                      center_area_derivative, eversion_force,
-                      forward_geometry, membrane_curvature,
+from crosssec import (DesignSpec, FabricationParams, arc_points,
+                      area_max_oracle, center_area, center_area_derivative,
+                      eversion_force, membrane_curvature,
                       solve_center_arc_angle, solve_side_height,
                       sweep_constant_perimeter)
 from crosssec.errors import check_number
@@ -73,7 +71,6 @@ class TestCheckNumber:
 ENTRIES = {
     "DesignSpec": (DesignSpec, (100, 50, 190)),
     "FabricationParams": (FabricationParams, (152, 127, 76)),
-    "RootFindConfig": (RootFindConfig, (1, 200)),
     "center_area": (center_area, (152, 76, 2)),
     "center_area_derivative": (center_area_derivative, (152, 76, 2)),
     "solve_center_arc_angle": (solve_center_arc_angle, (152, 76)),
@@ -98,10 +95,8 @@ ENTRIES = {
 NOT_NUMBERS = [None, True, "1", [1.0], 10**400]
 NOT_FINITE = [math.nan, math.inf]
 
-#: (entry, argument position) pairs that take any real, and the values
-#: that are valid at one position only.
+#: (entry, argument position) pairs that take any real.
 ANY_REAL = {("sweep_constant_perimeter", 1), ("sweep_constant_perimeter", 2)}
-ALLOWED = {("RootFindConfig", 0): [None]}
 
 
 def _call(name, position, value):
@@ -118,8 +113,6 @@ def _bad_cases():
             if (name, position) not in ANY_REAL:
                 bad = bad + NOT_FINITE
             for value in bad:
-                if value in ALLOWED.get((name, position), []):
-                    continue
                 yield pytest.param(name, position, value,
                                    id=f"{name}-{position}-{value!r:.12}")
 
@@ -159,25 +152,6 @@ class TestLibraryBoundary:
 class TestReportedDefects:
     # each of these was accepted, silently wrong, or a TypeError or an
     # OverflowError before every input went through check_number
-    def test_infinite_abs_tol_refused(self):
-        with pytest.raises(ValueError, match="abs_tol must be positive and finite"):
-            RootFindConfig(abs_tol=math.inf)
-
-    def test_infinite_abs_tol_gives_no_geometry(self):
-        # an infinite tolerance stopped the solves at once: H_c 193.53
-        # instead of 147.74 for S1, with no error
-        fab = FabricationParams(*FROZEN["S1"]["fab"])
-        with pytest.raises(ValueError, match="abs_tol"):
-            forward_geometry(fab, RootFindConfig(abs_tol=math.inf))
-
-    def test_bool_max_iter_refused(self):
-        with pytest.raises(ValueError, match="max_iter must be a number"):
-            RootFindConfig(max_iter=True)
-
-    def test_fractional_max_iter_refused(self):
-        with pytest.raises(ValueError, match="max_iter must be an integer"):
-            RootFindConfig(max_iter=20.5)
-
     def test_fractional_grid_points_refused(self):
         with pytest.raises(ValueError, match="grid_points must be an integer"):
             area_max_oracle(152.0, 76.2, grid_points=1500.5)

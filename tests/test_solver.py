@@ -1,26 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
+from crosssec import cli, solver
 from crosssec.errors import NoBracket, NonConvergence
 from crosssec.geometry import FabricationParams
-from crosssec.solver import (OracleResult, RootFindConfig, area_max_oracle,
-                             forward_geometry, solve_center_arc_angle,
-                             solve_side_height)
+from crosssec.solver import (OracleResult, area_max_oracle, forward_geometry,
+                             solve_center_arc_angle, solve_side_height)
 from conftest import FROZEN, rel_err
-
-
-class TestRootFindConfig:
-    def test_defaults(self):
-        cfg = RootFindConfig()
-        assert cfg.abs_tol is None
-        assert cfg.max_iter == 200
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="abs_tol"):
-            RootFindConfig(abs_tol=0.0)
-        with pytest.raises(ValueError, match="max_iter"):
-            RootFindConfig(max_iter=0)
 
 
 class TestSolveCenterArcAngle:
@@ -52,10 +40,19 @@ class TestSolveCenterArcAngle:
         with pytest.raises(NoBracket, match="^center channel:"):
             solve_center_arc_angle(1e-300, 1e10)
 
-    def test_tight_budget_raises_tagged(self):
+    def test_tight_budget_raises_tagged(self, monkeypatch, capsys):
+        # S1 takes 5 center and 4 side steps, so a cap of 2 stops both
+        monkeypatch.setattr(solver, "_MAX_STEPS", 2)
         with pytest.raises(NonConvergence, match="^center channel:"):
-            solve_center_arc_angle(152.0, 76.2,
-                                   RootFindConfig(abs_tol=1e-14, max_iter=4))
+            solve_center_arc_angle(152.0, 76.2)
+        with pytest.raises(NonConvergence, match="^side channel:"):
+            solve_side_height(127.0, 76.2)
+        assert cli.main(["forward", "--sc", "152", "--ss", "127",
+                         "--l", "76.2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "still moving after 2 steps" in err
 
 
 class TestSolveSideHeight:
@@ -83,6 +80,63 @@ class TestSolveSideHeight:
     def test_chord_relation_holds(self):
         h = solve_side_height(127.0, 76.2)
         assert h * math.sin(127.0 / h) == pytest.approx(76.2, rel=1e-12)
+
+
+class TestStepCount:
+    """Residual evaluations per Newton solve, one per step, stay far below
+    the fixed cap ``_MAX_STEPS`` over 18 decades of scale and ratio."""
+
+    N = 20_000
+
+    @staticmethod
+    def _counted(monkeypatch, name):
+        calls = []
+        residual = getattr(solver, name)
+
+        def counted(*args):
+            calls.append(None)
+            return residual(*args)
+        monkeypatch.setattr(solver, name, counted)
+        return calls
+
+    def test_center_solve(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        calls = self._counted(monkeypatch, "strip_fit_residual")
+        most = 0
+        for arc, ratio in zip(10.0 ** rng.uniform(-3, 6, self.N),
+                              10.0 ** rng.uniform(-12, 12, self.N)):
+            calls.clear()
+            solve_center_arc_angle(arc, arc * ratio)
+            most = max(most, len(calls))
+        assert 1 <= most <= 10
+
+    def test_side_solve(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        calls = self._counted(monkeypatch, "_sine_deficit")
+        most = 0
+        for arc, slack in zip(10.0 ** rng.uniform(-3, 6, self.N),
+                              10.0 ** rng.uniform(-15.5, 0, self.N)):
+            calls.clear()
+            solve_side_height(arc, arc * (1.0 - slack))
+            most = max(most, len(calls))
+        assert 1 <= most <= 10
+
+    # the ends of both ranges, which random draws do not reach, and
+    # either side of where each solve switches its starting point
+    @pytest.mark.parametrize("ratio", [
+        1e-12, math.nextafter(2 / math.pi, 0.0),
+        math.nextafter(2 / math.pi, 1.0), 1e12])
+    def test_center_solve_at_range_edge(self, monkeypatch, ratio):
+        calls = self._counted(monkeypatch, "strip_fit_residual")
+        solve_center_arc_angle(1.0, ratio)
+        assert 1 <= len(calls) <= 10
+
+    @pytest.mark.parametrize("slack", [
+        10.0 ** -15.5, math.nextafter(5 / 12, 0.0), 5 / 12, 1.0 - 1e-12])
+    def test_side_solve_at_range_edge(self, monkeypatch, slack):
+        calls = self._counted(monkeypatch, "_sine_deficit")
+        solve_side_height(1.0, 1.0 - slack)
+        assert 1 <= len(calls) <= 10
 
 
 class TestForwardGeometry:
