@@ -40,38 +40,45 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-#: Flag group -> its flags as (option, type, help); a flag's value lands
-#: in the option's name (``--grid-points`` in ``args.grid_points``).  A
-#: group is named after the config key it overrides, or the ``output``
-#: kind it writes.
+#: Flag group -> its flags as (option, config key, type, help); a flag's
+#: value lands in the option's name (``--grid-points`` in
+#: ``args.grid_points``) and overrides the config key, a section's field
+#: named ``section.field``.  A group is named after the config key it
+#: overrides, or the ``output`` kind it writes.
 _FLAGS = {
-    "spec": (("--hc", float, "center channel height H_c, mm"),
-             ("--hs", float, "side channel height H_s, mm"),
-             ("--w", float, "overall width w, mm")),
-    "fab": (("--sc", float, "center arc length S_c, mm"),
-            ("--ss", float, "side arc length S_s, mm"),
-            ("--l", float, "strip width L, mm")),
-    "sweep": (("--perimeter", float, "membrane perimeter, mm"),
-              ("--sc", str, "comma-separated center arc lengths, mm"),
-              ("--l", str, "comma-separated strip widths, mm")),
-    "oracle": (("--sc", float, "center arc length S_c, mm"),
-               ("--l", float, "strip width L, mm"),
-               ("--grid-points", int, "grid size (>= 1000; default 1000000)")),
-    "compare": (("--outline", str, "CSV of outline points (x_mm,y_mm)"),),
-    "force": (("--pressure-kpa", float, "inflation pressure, kPa"),
-              ("--area-mm2", float,
+    "spec": (("--hc", "spec.H_c_mm", float, "center channel height H_c, mm"),
+             ("--hs", "spec.H_s_mm", float, "side channel height H_s, mm"),
+             ("--w", "spec.w_mm", float, "overall width w, mm")),
+    "fab": (("--sc", "fab.S_c_mm", float, "center arc length S_c, mm"),
+            ("--ss", "fab.S_s_mm", float, "side arc length S_s, mm"),
+            ("--l", "fab.L_mm", float, "strip width L, mm")),
+    "sweep": (("--perimeter", "sweep.perimeter_mm", float,
+               "membrane perimeter, mm"),
+              ("--sc", "sweep.S_c_mm", str,
+               "comma-separated center arc lengths, mm"),
+              ("--l", "sweep.L_mm", str, "comma-separated strip widths, mm")),
+    "oracle": (("--sc", "fab.S_c_mm", float, "center arc length S_c, mm"),
+               ("--l", "fab.L_mm", float, "strip width L, mm"),
+               ("--grid-points", "oracle.grid_points", int,
+                "grid size (>= 1000; default 1000000)")),
+    "compare": (("--outline", "compare.outline_csv", str,
+                 "CSV of outline points (x_mm,y_mm)"),),
+    "force": (("--pressure-kpa", "force.pressure_kpa", float,
+               "inflation pressure, kPa"),
+              ("--area-mm2", "force.area_mm2", float,
                "cross-section area, mm^2 (alternative to geometry)")),
-    "arc_resolution_mm": (("--arc-resolution", float,
+    "arc_resolution_mm": (("--arc-resolution", "arc_resolution_mm", float,
                            "polygonization max sagitta error, mm "
                            "(default 1e-4)"),),
-    "json": (("--json", str, "also write the JSON result to PATH"),),
-    "svg": (("--svg", str, "also render the section to PATH"),),
-    "csv": (("--csv", str, "also write the CSV to PATH"),),
+    "json": (("--json", "output.json", str,
+              "also write the JSON result to PATH"),),
+    "svg": (("--svg", "output.svg", str, "also render the section to PATH"),),
+    "csv": (("--csv", "output.csv", str, "also write the CSV to PATH"),),
 }
 _OUTPUTS = ("json", "svg", "csv")
 
 #: Mode -> its help and the flag groups it reads; a job config may hold
-#: only their keys (``output.<kind>`` for the outputs) and ``mode``.
+#: only their config keys and ``mode``.
 _MODES = {
     "inverse": ("closed-form fabrication parameters for a spec",
                 ("spec", "json")),
@@ -97,7 +104,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(mode, help=help_text)
         p.add_argument("--config", help="JSON job config file")
         for group in groups:
-            for option, kind, help_flag in _FLAGS[group]:
+            for option, _, kind, help_flag in _FLAGS[group]:
                 p.add_argument(option, type=kind, help=help_flag,
                                metavar="PATH" if group in _OUTPUTS else None)
     return parser
@@ -134,24 +141,30 @@ def _check_path(path, name: str):
     return path
 
 
-#: Config section -> what it is, its (flag, field) pairs, its parser.
+#: Config section -> what it is and its parser; its flags and fields are
+#: its flag group's.
 _RECORDS = {
-    "spec": ("spec", (("hc", "H_c_mm"), ("hs", "H_s_mm"), ("w", "w_mm")),
-             spec_from_dict),
-    "fab": ("fab params", (("sc", "S_c_mm"), ("ss", "S_s_mm"), ("l", "L_mm")),
-            fab_from_dict),
+    "spec": ("spec", spec_from_dict),
+    "fab": ("fab params", fab_from_dict),
 }
 
 
+def _record_flags(section: str) -> list[tuple[str, str]]:
+    # (flag, field) of each of the record's flags: ("hc", "H_c_mm")
+    return [(option[2:], key.partition(".")[2])
+            for option, key, _, _ in _FLAGS[section]]
+
+
 def _record_given(args, config, section: str) -> bool:
-    _, flags, _ = _RECORDS[section]
     return bool(_section_dict(config, section)) or any(
-        getattr(args, flag, None) is not None for flag, _ in flags)
+        getattr(args, flag, None) is not None
+        for flag, _ in _record_flags(section))
 
 
 def _resolve_record(args, config, section: str):
     """The spec or fab params from flags over the config's section."""
-    what, flags, from_dict = _RECORDS[section]
+    what, from_dict = _RECORDS[section]
+    flags = _record_flags(section)
     fields = _section_dict(config, section)
     for flag, key in flags:
         if key in fields or getattr(args, flag, None) is not None:
@@ -172,15 +185,16 @@ def _resolve_resolution(args, config) -> float:
 
 
 def _check_keys(mode: str, config: dict):
-    # a key the mode does not read would change nothing, so it is refused
-    groups = set(_MODES[mode][1])
-    kinds = groups & set(_OUTPUTS)
-    read = (groups - kinds) | {"mode", "output"}
-    if mode == "oracle":
-        read.add("fab")  # its --sc and --l override fab's S_c_mm and L_mm
-    unread = [key for key in config if key not in read] + [
-        f"output.{kind}" for kind in _section_dict(config, "output")
-        if kind not in kinds]
+    # a key or section field the mode does not read would change nothing,
+    # so it is refused; a section that is not an object is the section
+    # reader's to report
+    read = {"mode"} | {key for group in _MODES[mode][1]
+                       for _, key, _, _ in _FLAGS[group]}
+    sections = {key.partition(".")[0] for key in read if "." in key}
+    unread = [key for key in config if key not in read | sections] + [
+        f"{section}.{field}" for section, fields in config.items()
+        if section in sections and isinstance(fields, dict)
+        for field in fields if f"{section}.{field}" not in read]
     if unread:
         raise ValueError(f"{mode} does not read config key {unread[0]!r}")
 

@@ -95,22 +95,40 @@ class Polygon:
     def __iter__(self):
         return iter(self.points)
 
-    @np.errstate(over="ignore", invalid="ignore")  # overflow raises below
+    def _unit_scaled(self) -> tuple[np.ndarray, int]:
+        # The vertices times 2**-e, which puts them in [-1, 1], and e.  A
+        # power of two scales exactly (but for vertices that become
+        # subnormal, far below the resolution of the largest), so products
+        # of the scaled vertices keep their signs and digits, and none
+        # overflows, nor, for a tiny outline, underflows.
+        e = math.frexp(float(np.max(np.abs(self.points))))[1]
+        return np.ldexp(self.points, -e), e
+
     def signed_area(self) -> float:
         """Shoelace area (mm^2), positive for counter-clockwise winding;
-        DegeneratePolygon when it overflows the float range."""
-        x = self.points[:, 0]
-        y = self.points[:, 1]
-        area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-        if not math.isfinite(area):
-            raise DegeneratePolygon("polygon area overflows the float range")
-        return area
+        DegeneratePolygon when it overflows the float range.
+
+        The shoelace runs on the vertices scaled into [-1, 1] and shifted
+        so that the first lies at the origin.  That leaves the area's
+        digits as they are, but a small outline far from the origin no
+        longer cancels, and only an area beyond the float range overflows.
+        The closing edge's term is then zero and left out.
+        """
+        pts, e = self._unit_scaled()
+        pts = pts - pts[0]
+        x = pts[:, 0]
+        y = pts[:, 1]
+        area = 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
+        try:
+            return math.ldexp(area, 2 * e)
+        except OverflowError:
+            raise DegeneratePolygon(
+                "polygon area overflows the float range") from None
 
     def area(self) -> float:
         """Absolute enclosed area (mm^2)."""
         return abs(self.signed_area())
 
-    @np.errstate(over="ignore", invalid="ignore")
     def is_simple(self) -> bool:
         """True when no two edges properly cross.
 
@@ -126,8 +144,12 @@ class Polygon:
         whose edges all span the same x-range.  Pairs are generated and
         tested ``_PAIR_CHUNK`` at a time, returning at the first chunk
         with a crossing, so memory stays O(n) however large k is.
+
+        The orientation tests run on the vertices scaled into [-1, 1], so
+        that no orientation overflows into an inf - inf = NaN that would
+        compare as "no crossing", at any offset or size.
         """
-        pts = self.points
+        pts, _ = self._unit_scaled()
         n = len(pts)
         nxt = np.roll(pts, -1, axis=0)
         order = np.argsort(np.minimum(pts[:, 0], nxt[:, 0]), kind="stable")

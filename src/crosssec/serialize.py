@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -179,14 +180,64 @@ def read_outline_csv(path) -> Polygon:
     """Read a measured outline: two columns x_mm, y_mm.
 
     Tolerates an optional header row, CRLF line endings and blank lines.
-    Winding is normalized to counter-clockwise.
+    Winding is normalized to counter-clockwise.  Plain files are parsed
+    in one vectorized pass; any other text goes through the row reader,
+    which accepts the same files and names the row it cannot read.
 
     Raises:
         ValueError: unreadable rows or fewer than 3 vertices.
     """
-    points: list[tuple[float, float]] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        for row_num, row in enumerate(csv.reader(handle), start=1):
+        text = handle.read()
+    points = _parse_plain_outline(text)
+    if points is None:
+        points = _parse_outline_rows(text, path)
+    poly = Polygon(points)
+    if poly.signed_area() < 0.0:
+        poly = Polygon(poly.points[::-1])
+    return poly
+
+
+def _parse_plain_outline(text: str):
+    """The ``(n, 2)`` points of a plain outline, or None for any other text.
+
+    Plain means: LF or CRLF line endings, no quotes, an optional last
+    newline, an optional two-cell header row, exactly one comma on every
+    other line, at least 3 rows, and cells that ``float()`` reads.  The
+    row reader gives every such text the same points, so returning None
+    is always safe.
+    """
+    if '"' in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    lines = text.removesuffix("\n").split("\n")
+    if (len(text) > csv.field_size_limit()
+            and max(map(len, lines)) > csv.field_size_limit()):
+        return None  # the row reader's field limit decides these
+    head = lines[0].split(",")
+    if len(head) != 2:
+        return None
+    try:
+        float(head[0]), float(head[1])
+    except ValueError:
+        del lines[0]  # header row
+    if len(lines) < 3 or set(map(str.count, lines, repeat(","))) != {1}:
+        return None
+    try:
+        return np.array(",".join(lines).split(","), dtype=float).reshape(-1, 2)
+    except ValueError:
+        return None
+
+
+def _parse_outline_rows(text: str, path):
+    """The outline's points, read row by row; ValueError names a bad row."""
+    points: list[tuple[float, float]] = []
+    rows = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row_num, row in enumerate(rows, start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) < 2:
@@ -199,9 +250,8 @@ def read_outline_csv(path) -> Polygon:
                 raise ValueError(
                     f"{path}: row {row_num} is not numeric: {row[:2]!r}") from None
             points.append((x, y))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if len(points) < 3:
         raise ValueError(f"{path}: outline needs at least 3 vertices")
-    poly = Polygon(np.asarray(points))
-    if poly.signed_area() < 0.0:
-        poly = Polygon(poly.points[::-1])
-    return poly
+    return np.asarray(points)

@@ -570,6 +570,71 @@ class TestCompare:
                       "--sc", 152, "--ss", 127, "--l", 76.2)
         assert out.returncode == 1
 
+    @pytest.mark.parametrize("offset, leg, area", [
+        (1e9, 1.0, 0.5), (1e12, 1.0, 0.5), (1e160, 1e151, 5e301)])
+    def test_small_outline_far_from_origin(self, tmp_path, offset, leg, area):
+        # a right triangle whose shoelace products on the raw coordinates
+        # cancel to nothing, or overflow
+        path = tmp_path / "far.csv"
+        path.write_text(f"{offset!r},{offset!r}\n{offset + leg!r},{offset!r}\n"
+                        f"{offset!r},{offset + leg!r}\n", encoding="utf-8")
+        out = run_cli("compare", "--outline", path,
+                      "--sc", 152, "--ss", 127, "--l", 76.2)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["measured_area_mm2"] == pytest.approx(
+            area, rel=1e-6)
+
+
+# Outline files for the compare fuzz: star-shaped polygons, scaled and
+# shifted, with repeated and swapped vertices, short files, and text that
+# is not an outline at all.
+_SIZES = st.sampled_from([1.0, 1.0, 1.0, 1e-150, 1e-300, 5e-324, 1e150,
+                          1e300])
+_OFFSETS = st.sampled_from([0.0, 0.0, 0.0, 1e9, -1e12, 1e300])
+
+
+@st.composite
+def _outline_files(draw):
+    n = draw(st.integers(0, 10))
+    angles = sorted(draw(st.lists(st.floats(0.0, 6.28), min_size=n,
+                                  max_size=n)))
+    radii = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    points = [(r * math.cos(a), r * math.sin(a)) for r, a in zip(radii, angles)]
+    for _ in range(draw(st.integers(0, 2)) if points else 0):
+        i, j = (draw(st.integers(0, len(points) - 1)) for _ in range(2))
+        if draw(st.booleans()):
+            points.insert(i, points[j])
+        else:
+            points[i], points[j] = points[j], points[i]
+    size, offset = draw(_SIZES), draw(_OFFSETS)
+    rows = [f"{offset + size * x!r},{offset + size * y!r}" for x, y in points]
+    header = ["x_mm,y_mm"] if draw(st.booleans()) else []
+    return "\n".join(header + rows) + "\n"
+
+
+class TestFuzzedOutlines:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(_outline_files(), _outline_files(),
+                          st.text(max_size=40)))
+    def test_every_outline_ends_in_an_exit_code(self, tmp_path_factory,
+                                                capsys, text):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_outline.csv"
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["compare", "--outline", str(path), "--sc", "152",
+                             "--ss", "127", "--l", "76.2"])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2)
+        if code:
+            assert len(err.splitlines()) == 1
+        if code == 1:
+            assert out == ""
+        if code == 0:
+            assert math.isfinite(json.loads(out)["area_ratio"])
+
 
 class TestForce:
     def test_direct_area(self):

@@ -224,6 +224,29 @@ _UNREAD = [
     ("force", {"force": {"pressure_kpa": 2},
                "fab": {"S_c_mm": 152, "S_s_mm": 127, "L_mm": 76.2},
                "solver": {}}, "solver"),
+    # a field a read section does not have: a misspelt one, or one the
+    # mode does not take
+    ("oracle", {"fab": {"S_c_mm": 152, "L_mm": 76.2},
+                "oracle": {"grid_points": 1000, "gridpoints": 5}},
+     "oracle.gridpoints"),
+    ("oracle", {"fab": {"S_c_mm": 152, "S_s_mm": 127, "L_mm": 76.2},
+                "oracle": {"grid_points": 1000}}, "fab.S_s_mm"),
+    ("forward", {"fab": {"S_c_mm": 152, "S_s_mm": 127, "L_mm": 76.2,
+                         "L": 3}}, "fab.L"),
+    ("force", {"force": {"pressure_kpa": 2, "area_mm2": 100, "area": 5}},
+     "force.area"),
+    ("force", {"force": {"pressure_kpa": 2},
+               "spec": {"H_c_mm": 101.6, "H_s_mm": 50.8, "w_mm": 190,
+                        "S_c_mm": 152}}, "spec.S_c_mm"),
+    ("inverse", {"spec": {"H_c_mm": 101.6, "H_s_mm": 50.8, "w": 190}},
+     "spec.w"),
+    ("sweep", {"sweep": {"perimeter": 558, "S_c_mm": [152],
+                         "L_mm": [76.2]}}, "sweep.perimeter"),
+    ("compare", {"fab": {"S_c_mm": 152, "S_s_mm": 127, "L_mm": 76.2},
+                 "compare": {"outline_csv": str(EXAMPLES / "outline.csv"),
+                             "outline": "x.csv"}}, "compare.outline"),
+    ("shape", {"spec": {"H_c_mm": 101.6, "H_s_mm": 50.8, "w_mm": 190},
+               "output": {"svg": None, "SVG": "out.svg"}}, "output.SVG"),
 ]
 
 

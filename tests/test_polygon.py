@@ -192,6 +192,53 @@ class TestHugeCoordinates:
         assert square.signed_area() == pytest.approx(4e300, rel=1e-15)
 
 
+class TestFarFromTheOrigin:
+    # a small outline far from the origin, or a tiny or huge one: the
+    # shoelace and the orientation tests run on the vertices scaled into
+    # [-1, 1], the shoelace also shifted to put the first at the origin
+    @staticmethod
+    def shifted(points, offset, scale=1.0):
+        return Polygon([(offset + scale * x, offset + scale * y)
+                        for x, y in points])
+
+    @pytest.mark.parametrize("offset", [1e9, 1e12, 1e15])
+    def test_unit_triangle_area(self, offset):
+        tri = self.shifted([(0, 0), (1, 0), (0, 1)], offset)
+        assert tri.signed_area() == 0.5
+
+    def test_large_area_at_large_offset_kept(self):
+        # products of the raw coordinates would overflow at 1e320
+        tri = self.shifted([(0, 0), (1, 0), (0, 1)], 1e160, 1e151)
+        assert tri.signed_area() == pytest.approx(5e301, rel=1e-6)
+
+    def test_thin_outline_of_huge_extent_kept(self):
+        # its shoelace products overflow at any shift, its area does not
+        top = 1e155 + 1e145
+        thin = Polygon([(0, 0), (1e155, 1e155), (1e155, top)])
+        assert thin.signed_area() == pytest.approx(
+            0.5 * 1e155 * (top - 1e155), rel=1e-5)
+
+    # a bowtie: edges (0, 1)-(3, 2) and (1, 3)-(2, 0) cross at (1.5, 1.5)
+    BOWTIE = [(0, 1), (3, 2), (1, 3), (2, 0)]
+
+    @pytest.mark.parametrize("offset, scale", [
+        (0.0, 1.0), (1e300, 1e290), (-1e300, 1e290), (0.0, 1e300),
+        (0.0, 1e-300), (1e-290, 1e-300), (0.0, 5e-324)])
+    def test_bowtie_found_at_any_offset_and_size(self, offset, scale):
+        # at 1e290 the orientations were inf - inf = NaN, and at 1e-300
+        # their products underflowed to 0: both read as "no crossing"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not self.shifted(self.BOWTIE, offset, scale).is_simple()
+
+    @pytest.mark.parametrize("offset, scale", [
+        (1e300, 1e290), (0.0, 1e300), (0.0, 1e-300)])
+    def test_convex_outline_simple_at_any_offset_and_size(self, offset, scale):
+        angle = 2.0 * np.pi * np.arange(40) / 40
+        ring = np.column_stack((np.cos(angle), np.sin(angle)))
+        assert self.shifted(ring, offset, scale).is_simple()
+
+
 class TestIsSimpleSweep:
     @settings(max_examples=300, deadline=None)
     @given(_polygons(_dyadic, 40))

@@ -1,7 +1,12 @@
 import json
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from conftest import REPO
+from crosssec import serialize
 
 from crosssec.analysis import SweepRecord, sweep_constant_perimeter
 from crosssec.geometry import DesignSpec, FabricationParams
@@ -159,3 +164,102 @@ class TestReadOutlineCsv:
         path = self.write(tmp_path, "0\n1\n2\n")
         with pytest.raises(ValueError, match="fewer than 2"):
             read_outline_csv(path)
+
+    def test_one_column_first_row_is_not_a_header(self, tmp_path):
+        path = self.write(tmp_path, "x\n0,0\n1,0\n0,1\n")
+        with pytest.raises(ValueError, match="row 1 has fewer than 2 columns"):
+            read_outline_csv(path)
+
+    def test_ragged_rows_not_reflowed(self, tmp_path):
+        # eight cells on four lines, but row 3 has one column
+        path = self.write(tmp_path, "0,0\n1,2,3\n4\n1,1\n")
+        with pytest.raises(ValueError, match="row 3 has fewer than 2 columns"):
+            read_outline_csv(path)
+
+    def test_oversized_field_is_a_value_error(self, tmp_path):
+        path = self.write(tmp_path, "0,0\n1,0\n0," + "0" * 200_000 + "1\n")
+        with pytest.raises(ValueError, match="field larger than field limit"):
+            read_outline_csv(path)
+
+
+def _rows_only(text):
+    raise AssertionError("plain outline sent to the row reader")
+
+
+class TestPlainOutlinePath:
+    # ordinary outlines never reach the row reader
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_docs_outline(self, tmp_path, newline):
+        text = (REPO / "docs/examples/outline.csv").read_text(encoding="utf-8")
+        path = tmp_path / "outline.csv"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        expected = read_outline_csv(REPO / "docs/examples/outline.csv")
+        with mock.patch.object(serialize, "_parse_outline_rows", _rows_only):
+            poly = read_outline_csv(path)
+        assert len(poly) == 856
+        assert poly.points.tobytes() == expected.points.tobytes()
+
+
+# Tokens of outline text: cells that float() reads in every form it takes,
+# cells it refuses, quoting, and every line ending and blank line.  A text
+# is rows of number pairs with up to three odd rows or line endings, so
+# that many texts are whole outlines and many are nearly so.
+_NUMBER = st.one_of(st.integers(-9, 9).map(str),
+                    st.floats(-1e3, 1e3).map(repr))
+_CELL = st.one_of(_NUMBER, st.sampled_from([
+    "x_mm", "y_mm", "", " ", " 7 ", "1_0", "1__0", "nan", "-inf", "inf",
+    "1e400", "-1e400", "1e-400", "\u0663", "\u0661\u0662.5", "0x10", "+.5",
+    "1e", '"3"', '"4,5"', '"6\n7"', '"', 'a"b', "\t8", "9\x00", "5\r",
+    "\r6"]))
+_PAIR = st.tuples(_NUMBER, _NUMBER).map(",".join)
+_ODD_ROW = st.one_of(st.sampled_from(["x_mm,y_mm", "x", "x,y,z", "", " "]),
+                     st.lists(_CELL, min_size=1, max_size=3).map(",".join))
+_ODD_END = st.sampled_from(["\r\n", "\r", "\n\n", "\n \n", "\r\n\r\n"])
+
+
+@st.composite
+def _outline_texts(draw):
+    rows = draw(st.lists(_PAIR, max_size=8))
+    ends = ["\n"] * len(rows)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(rows)))
+        if draw(st.booleans()):
+            rows.insert(at, draw(_ODD_ROW))
+            ends.insert(at, "\n")
+        elif rows:
+            ends[min(at, len(rows) - 1)] = draw(_ODD_END)
+    text = "".join(map(str.__add__, rows, ends))
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    if draw(st.booleans()):
+        text = text[:-1]  # no last line ending, or half of a CRLF
+    return text
+
+
+def _outcome(path):
+    try:
+        return read_outline_csv(path).points.tobytes()
+    except Exception as exc:  # compared, not hidden
+        return type(exc), str(exc)
+
+
+class TestOutlineDifferential:
+    @settings(max_examples=600, deadline=None)
+    @given(text=_outline_texts())
+    @example(text="x\n0,0\n1,0\n0,1\n")
+    @example(text="0,0\n1,2,3\n4\n1,1\n")
+    @example(text="0,0\n5\r,0\n1,0\n0,1\n")
+    @example(text='x,"\n0,0\n1,0\n0,1\n')
+    @example(text="0,0\r\n1,0\r\n0,1\r\n")
+    @example(text="x_mm,y_mm\n0,0\n\n1,0\n0,1")
+    @example(text="0,0\n1_0,0\n\u0663,\u0661\n")
+    @example(text="0,0\n9\x00,1\n1,0\n0,1\n")
+    def test_reader_matches_row_reader(self, tmp_path_factory, text):
+        # the same points to the byte, or the same error and message
+        path = tmp_path_factory.getbasetemp() / "differential.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = _outcome(path)
+        with mock.patch.object(serialize, "_parse_plain_outline",
+                               lambda text: None):
+            rows = _outcome(path)
+        assert fast == rows
