@@ -77,30 +77,11 @@ _FLAGS = {
 }
 _OUTPUTS = ("json", "svg", "csv")
 
-#: Mode -> its help and the flag groups it reads; a job config may hold
-#: only their config keys and ``mode``.
-_MODES = {
-    "inverse": ("closed-form fabrication parameters for a spec",
-                ("spec", "json")),
-    "forward": ("solve inflated geometry from fabrication parameters",
-                ("fab", "arc_resolution_mm", "json", "svg")),
-    "shape": ("full inflated geometry for a spec",
-              ("spec", "arc_resolution_mm", "json", "svg")),
-    "sweep": ("constant-perimeter design sweep to CSV",
-              ("sweep", "csv")),
-    "oracle": ("brute-force area-maximum check for one (S_c, L)",
-               ("oracle", "json")),
-    "compare": ("measured outline area versus the model",
-                ("compare", "fab", "arc_resolution_mm", "json")),
-    "force": ("eversion force from pressure and area",
-              ("force", "fab", "spec", "arc_resolution_mm", "json")),
-}
-
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog=PROG, description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode, (help_text, groups) in _MODES.items():
+    for mode, (help_text, groups, _) in _MODES.items():
         p = sub.add_parser(mode, help=help_text)
         p.add_argument("--config", help="JSON job config file")
         for group in groups:
@@ -120,25 +101,46 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _section_dict(config: dict, key: str) -> dict:
-    section = config.get(key, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"job config field {key!r} must be an object")
-    return dict(section)
-
-
-def _pick(args, flag: str, section: dict, key: str, default=None):
-    # the flag's value if the mode has the flag and it was given, else the
-    # config field's
-    value = getattr(args, flag, None)
-    return section.get(key, default) if value is None else value
-
-
 def _check_path(path, name: str):
     # open() would take an int as a file descriptor (0 is stdin)
     if path is not None and not isinstance(path, str):
         raise ValueError(f"{name} must be a path string, got {path!r}")
     return path
+
+
+def _resolve_job(args, config: dict) -> dict:
+    """Every config key the mode reads -> its value, flag over field.
+
+    A key that neither gives is left out.  A key or section field the mode
+    does not read (it would change nothing), a section it reads that is
+    not an object and an output path that is not a string are refused
+    before any command runs.
+    """
+    flags = {key: option[2:].replace("-", "_")
+             for group in _MODES[args.mode][1]
+             for option, key, _, _ in _FLAGS[group]}
+    sections = {key.partition(".")[0] for key in flags if "." in key}
+    job = {}
+    for name, value in config.items():
+        if name in sections:
+            if not isinstance(value, dict):
+                raise ValueError(f"job config field {name!r} must be an object")
+            fields = {f"{name}.{field}": v for field, v in value.items()}
+        elif name == "mode":
+            continue
+        else:
+            fields = {name: value}
+        for key in fields:
+            # a dotted top-level name is no section's field
+            if key not in flags or "." in name:
+                raise ValueError(
+                    f"{args.mode} does not read config key {key!r}")
+        job.update(fields)
+    job.update((key, getattr(args, flag)) for key, flag in flags.items()
+               if getattr(args, flag) is not None)
+    for kind in _OUTPUTS:
+        _check_path(job.get(f"output.{kind}"), f"output {kind}")
+    return job
 
 
 #: Config section -> what it is and its parser; its flags and fields are
@@ -149,67 +151,30 @@ _RECORDS = {
 }
 
 
-def _record_flags(section: str) -> list[tuple[str, str]]:
-    # (flag, field) of each of the record's flags: ("hc", "H_c_mm")
-    return [(option[2:], key.partition(".")[2])
-            for option, key, _, _ in _FLAGS[section]]
+def _given(job: dict, section: str) -> bool:
+    return any(key in job for _, key, _, _ in _FLAGS[section])
 
 
-def _record_given(args, config, section: str) -> bool:
-    return bool(_section_dict(config, section)) or any(
-        getattr(args, flag, None) is not None
-        for flag, _ in _record_flags(section))
-
-
-def _resolve_record(args, config, section: str):
-    """The spec or fab params from flags over the config's section."""
+def _record(job: dict, section: str):
+    """The spec or fab params from the job's keys of that section."""
     what, from_dict = _RECORDS[section]
-    flags = _record_flags(section)
-    fields = _section_dict(config, section)
-    for flag, key in flags:
-        if key in fields or getattr(args, flag, None) is not None:
+    fields = {}
+    for _, key, _, _ in _FLAGS[section]:
+        if key in job:
             # named by field here; range and feasibility are the record's
             # and the spec validator's to report
-            fields[key] = check_number(_pick(args, flag, fields, key), key)
+            field = key.partition(".")[2]
+            fields[field] = check_number(job[key], field)
     if not fields:
-        flag_list = "/".join(f"--{flag}" for flag, _ in flags)
+        options = "/".join(option for option, _, _, _ in _FLAGS[section])
         raise ValueError(
-            f"no {what} given: use {flag_list} or a config {section!r}")
+            f"no {what} given: use {options} or a config {section!r}")
     return from_dict(fields)
 
 
-def _resolve_resolution(args, config) -> float:
-    value = _pick(args, "arc_resolution", config, "arc_resolution_mm",
-                  DEFAULT_ARC_RESOLUTION)
-    return check_number(value, "arc resolution", "positive")
-
-
-def _check_keys(mode: str, config: dict):
-    # a key or section field the mode does not read would change nothing,
-    # so it is refused; a section that is not an object is the section
-    # reader's to report
-    read = {"mode"} | {key for group in _MODES[mode][1]
-                       for _, key, _, _ in _FLAGS[group]}
-    sections = {key.partition(".")[0] for key in read if "." in key}
-    unread = [key for key in config if key not in read | sections] + [
-        f"{section}.{field}" for section, fields in config.items()
-        if section in sections and isinstance(fields, dict)
-        for field in fields if f"{section}.{field}" not in read]
-    if unread:
-        raise ValueError(f"{mode} does not read config key {unread[0]!r}")
-
-
-def _resolve_outputs(args, config) -> dict:
-    # the path of each kind the mode writes, flag over config field,
-    # type-checked before any output
-    section = _section_dict(config, "output")
-    paths = {}
-    for key in _OUTPUTS:
-        if hasattr(args, key):
-            path = _check_path(_pick(args, key, section, key), f"output {key}")
-            if path is not None:
-                paths[key] = path
-    return paths
+def _resolution(job: dict) -> float:
+    return check_number(job.get("arc_resolution_mm", DEFAULT_ARC_RESOLUTION),
+                        "arc resolution", "positive")
 
 
 def _parse_grid(value, name: str) -> list[float]:
@@ -227,11 +192,12 @@ def _parse_grid(value, name: str) -> list[float]:
     return [check_number(v, name) for v in value]
 
 
-# Each command resolves its inputs, computes, and returns the stdout text
-# with the section an SVG output draws (None where the mode has none).
+# Each command takes the resolved job, checks and computes, and returns
+# the stdout text with the section an SVG output draws (None where the
+# mode has none).
 
-def _cmd_inverse(args, config):
-    spec = _resolve_record(args, config, "spec")
+def _cmd_inverse(job):
+    spec = _record(job, "spec")
     report = validate_spec(spec)
     if not report.feasible:
         # the one failure with stdout: the report says which conditions
@@ -250,57 +216,48 @@ def _cmd_inverse(args, config):
     }), None
 
 
-def _cmd_forward(args, config):
-    fab = _resolve_record(args, config, "fab")
-    section = forward_geometry(fab, _resolve_resolution(args, config))
+def _cmd_forward(job):
+    section = forward_geometry(_record(job, "fab"), _resolution(job))
     return to_json(section_to_dict(section)), section
 
 
-def _cmd_shape(args, config):
-    spec = _resolve_record(args, config, "spec")
-    section = build_cross_section(spec, _resolve_resolution(args, config))
+def _cmd_shape(job):
+    section = build_cross_section(_record(job, "spec"), _resolution(job))
     return to_json(section_to_dict(section)), section
 
 
-def _cmd_sweep(args, config):
-    sweep_cfg = _section_dict(config, "sweep")
-    perimeter = _pick(args, "perimeter", sweep_cfg, "perimeter_mm")
+def _cmd_sweep(job):
+    perimeter = job.get("sweep.perimeter_mm")
     if perimeter is None:
         raise ValueError("sweep needs --perimeter or config sweep.perimeter_mm")
-    arcs = _parse_grid(_pick(args, "sc", sweep_cfg, "S_c_mm"),
-                       "--sc / sweep.S_c_mm")
-    strips = _parse_grid(_pick(args, "l", sweep_cfg, "L_mm"), "--l / sweep.L_mm")
+    arcs = _parse_grid(job.get("sweep.S_c_mm"), "--sc / sweep.S_c_mm")
+    strips = _parse_grid(job.get("sweep.L_mm"), "--l / sweep.L_mm")
     perimeter = check_number(perimeter, "sweep perimeter_mm", "positive")
     records = sweep_constant_perimeter(perimeter, arcs, strips)
     return sweep_to_csv(records), None
 
 
-def _cmd_oracle(args, config):
-    oracle_cfg = _section_dict(config, "oracle")
-    fab_cfg = _section_dict(config, "fab")
-    s_c = _pick(args, "sc", fab_cfg, "S_c_mm")
-    strip = _pick(args, "l", fab_cfg, "L_mm")
+def _cmd_oracle(job):
+    s_c, strip = job.get("fab.S_c_mm"), job.get("fab.L_mm")
     if s_c is None or strip is None:
         raise ValueError("oracle needs --sc and --l (or config fab)")
     # checked here too, so that messages name the config fields and the
     # output echoes the values as the library takes them (1e4 as 10000)
-    grid_points = check_number(
-        _pick(args, "grid_points", oracle_cfg, "grid_points", 1_000_000),
-        "oracle grid_points", "integer")
+    grid_points = check_number(job.get("oracle.grid_points", 1_000_000),
+                               "oracle grid_points", "integer")
     s_c = check_number(s_c, "S_c_mm", "positive")
     strip = check_number(strip, "L_mm", "non-negative")
     result = area_max_oracle(s_c, strip, grid_points)
     return to_json(oracle_to_dict(s_c, strip, grid_points, result)), None
 
 
-def _cmd_compare(args, config):
-    compare_cfg = _section_dict(config, "compare")
-    outline_path = _check_path(
-        _pick(args, "outline", compare_cfg, "outline_csv"), "compare outline")
+def _cmd_compare(job):
+    outline_path = _check_path(job.get("compare.outline_csv"),
+                               "compare outline")
     if outline_path is None:
         raise ValueError("compare needs --outline or config compare.outline_csv")
-    fab = _resolve_record(args, config, "fab")
-    resolution = _resolve_resolution(args, config)
+    fab = _record(job, "fab")
+    resolution = _resolution(job)
     measured = read_outline_csv(outline_path)
     section = forward_geometry(fab, resolution)
     return to_json({
@@ -310,23 +267,21 @@ def _cmd_compare(args, config):
     }), None
 
 
-def _cmd_force(args, config):
-    force_cfg = _section_dict(config, "force")
-    pressure = _pick(args, "pressure_kpa", force_cfg, "pressure_kpa")
+def _cmd_force(job):
+    pressure = job.get("force.pressure_kpa")
     if pressure is None:
         raise ValueError("force needs --pressure-kpa")
     pressure = check_number(pressure, "pressure_kpa", "non-negative")
-    area = _pick(args, "area_mm2", force_cfg, "area_mm2")
+    area = job.get("force.area_mm2")
     if area is not None:
         area = check_number(area, "area_mm2", "non-negative")
-    resolution = _resolve_resolution(args, config)
+    resolution = _resolution(job)
     if area is None:
         # the record any of whose flags or fields were given, fab first
-        if _record_given(args, config, "fab"):
-            area = forward_geometry(_resolve_record(args, config, "fab"),
-                                    resolution).total_area
-        elif _record_given(args, config, "spec"):
-            area = build_cross_section(_resolve_record(args, config, "spec"),
+        if _given(job, "fab"):
+            area = forward_geometry(_record(job, "fab"), resolution).total_area
+        elif _given(job, "spec"):
+            area = build_cross_section(_record(job, "spec"),
                                        resolution).total_area
         else:
             raise ValueError(
@@ -338,14 +293,25 @@ def _cmd_force(args, config):
     }), None
 
 
-_COMMANDS = {
-    "inverse": _cmd_inverse,
-    "forward": _cmd_forward,
-    "shape": _cmd_shape,
-    "sweep": _cmd_sweep,
-    "oracle": _cmd_oracle,
-    "compare": _cmd_compare,
-    "force": _cmd_force,
+#: Mode -> its help, the flag groups it reads and its command; a job
+#: config may hold only their config keys and ``mode``.
+_MODES = {
+    "inverse": ("closed-form fabrication parameters for a spec",
+                ("spec", "json"), _cmd_inverse),
+    "forward": ("solve inflated geometry from fabrication parameters",
+                ("fab", "arc_resolution_mm", "json", "svg"), _cmd_forward),
+    "shape": ("full inflated geometry for a spec",
+              ("spec", "arc_resolution_mm", "json", "svg"), _cmd_shape),
+    "sweep": ("constant-perimeter design sweep to CSV",
+              ("sweep", "csv"), _cmd_sweep),
+    "oracle": ("brute-force area-maximum check for one (S_c, L)",
+               ("oracle", "json"), _cmd_oracle),
+    "compare": ("measured outline area versus the model",
+                ("compare", "fab", "arc_resolution_mm", "json"),
+                _cmd_compare),
+    "force": ("eversion force from pressure and area",
+              ("force", "fab", "spec", "arc_resolution_mm", "json"),
+              _cmd_force),
 }
 
 
@@ -356,13 +322,15 @@ def main(argv=None) -> int:
         if "mode" in config and config["mode"] != args.mode:
             raise ValueError(
                 f"config mode {config['mode']!r} does not match subcommand {args.mode!r}")
-        _check_keys(args.mode, config)
-        paths = _resolve_outputs(args, config)
-        text, section = _COMMANDS[args.mode](args, config)
+        job = _resolve_job(args, config)
+        text, section = _MODES[args.mode][2](job)
         # files first, stdout last: a failed write leaves stdout empty
-        for key, path in paths.items():
-            Path(path).write_text(render_svg(section) if key == "svg" else text,
-                                  encoding="utf-8")
+        for kind in _OUTPUTS:
+            path = job.get(f"output.{kind}")
+            if path is not None:
+                Path(path).write_text(
+                    render_svg(section) if kind == "svg" else text,
+                    encoding="utf-8")
         sys.stdout.write(text)
         return 0
     except (ValueError, OSError, DegeneratePolygon) as exc:

@@ -316,10 +316,12 @@ def inverse_design(spec: DesignSpec) -> FabricationParams:
         raise InfeasibleSpec(
             ("S_c > 0",),
             f"spec implies a non-positive center arc (arcsin argument {sine!r})")
-    center_arc = h * math.asin(sine)
     # cos of the center half-arc angle; sqrt of the discriminant folded
     # into its normalized form to keep the degenerate boundary exact.
     cosine = math.sqrt(max(report.discriminant, 0.0)) / (2.0 * h * (w - s))
+    # atan2, not asin: asin(sine) loses half the digits as sine -> 1
+    # (gamma -> 0); the cosine from the factored discriminant keeps them
+    center_arc = h * math.atan2(sine, cosine)
     strip = h * cosine
     beta = s * math.asin(min(1.0, strip / s))
     if w - h * sine <= s:

@@ -29,8 +29,11 @@ def arc_points(cx: float, cy: float, radius: float, start_angle: float,
 
     Segment count is chosen so no chord's sagitta exceeds ``max_sagitta``
     (mm), with a floor of one segment per 60 degrees of span so coarse
-    tolerances cannot degenerate long arcs.  Angles are radians; the arc
-    runs from ``start_angle`` to ``end_angle`` (increasing = CCW).
+    tolerances cannot degenerate long arcs, and of two segments so that
+    the arc and its closing chord bound a polygon with area (one chord is
+    within tolerance on a shallow arc, but closes on itself).  Angles are
+    radians; the arc runs from ``start_angle`` to ``end_angle``
+    (increasing = CCW).
 
     Returns:
         ``(n + 1, 2)`` array of points including both endpoints.
@@ -57,7 +60,7 @@ def arc_points(cx: float, cy: float, radius: float, start_angle: float,
         raise ValueError(
             f"arc of radius {radius:.6g} mm over {span:.6g} rad needs more "
             f"than {MAX_ARC_SEGMENTS} segments at max_sagitta {max_sagitta!r} mm")
-    n = max(1, math.ceil(span / d_max), math.ceil(span / (math.pi / 3.0)))
+    n = max(2, math.ceil(span / d_max), math.ceil(span / (math.pi / 3.0)))
     t = np.linspace(start_angle, end_angle, n + 1)
     return np.column_stack((cx + radius * np.cos(t), cy + radius * np.sin(t)))
 

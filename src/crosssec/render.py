@@ -24,33 +24,17 @@ def _f(value: float) -> str:
     return fmt(value, 9)
 
 
-def _arc_path(cx: float, cy: float, radius: float, start: float, end: float,
-              css: str) -> str:
-    """Path for a CCW arc, split into two A commands at its midpoint.
+def _arc_path(cx: float, cy: float, radius: float, angles, css: str) -> str:
+    """Path for a CCW arc through ``angles``, one A command per step.
 
     CCW traversal in the math frame becomes sweep flag 0 after the y
-    flip; each half spans at most pi, so the large-arc flag is 0.
+    flip; each step spans at most pi, so the large-arc flag is 0.
     """
-    mid = 0.5 * (start + end)
-    points = [
-        (cx + radius * math.cos(a), cy + radius * math.sin(a))
-        for a in (start, mid, end)
-    ]
+    points = [(cx + radius * math.cos(a), cy + radius * math.sin(a))
+              for a in angles]
     d = f"M {_f(points[0][0])} {_f(-points[0][1])}"
     for x, y in points[1:]:
         d += f" A {_f(radius)} {_f(radius)} 0 0 0 {_f(x)} {_f(-y)}"
-    return f'<path class="{css}" d="{d}"/>'
-
-
-def _single_arc_path(cx: float, cy: float, radius: float, start: float,
-                     end: float, css: str) -> str:
-    """Path for a CCW arc spanning at most pi, as one A command."""
-    x0 = cx + radius * math.cos(start)
-    y0 = cy + radius * math.sin(start)
-    x1 = cx + radius * math.cos(end)
-    y1 = cy + radius * math.sin(end)
-    d = (f"M {_f(x0)} {_f(-y0)} "
-         f"A {_f(radius)} {_f(radius)} 0 0 0 {_f(x1)} {_f(-y1)}")
     return f'<path class="{css}" d="{d}"/>'
 
 
@@ -73,6 +57,7 @@ def render_svg(section: CrossSection) -> str:
     r_c, r_s = center.radius, side.radius
     y_max = max(r_c, r_s)
     half_c = 0.5 * center.arc_angle
+    up = 0.5 * math.pi
     half_s = 0.5 * side.arc_angle
     cx = side.center_x
     stroke = 0.004 * w
@@ -89,14 +74,14 @@ def render_svg(section: CrossSection) -> str:
         f".cross{{fill:none;stroke:#bb2222;stroke-width:{_f(0.5 * stroke)}}}"
         f".dim{{font-family:sans-serif;font-size:{_f(font)}px;fill:#1a1a1a}}"
         "</style>",
-        # membrane: center arcs (one A command each)
-        _single_arc_path(0.0, 0.0, r_c, 0.5 * math.pi - half_c,
-                         0.5 * math.pi + half_c, "membrane center-arc"),
-        _single_arc_path(0.0, 0.0, r_c, -0.5 * math.pi - half_c,
-                         -0.5 * math.pi + half_c, "membrane center-arc"),
-        # membrane: side arcs (two A commands each)
-        _arc_path(cx, 0.0, r_s, -half_s, half_s, "membrane side-arc"),
-        _arc_path(-cx, 0.0, r_s, math.pi - half_s, math.pi + half_s,
+        # membrane: center arcs (one A command each), then side arcs split
+        # at their outermost point (two each)
+        _arc_path(0.0, 0.0, r_c, (up - half_c, up + half_c),
+                  "membrane center-arc"),
+        _arc_path(0.0, 0.0, r_c, (-up - half_c, -up + half_c),
+                  "membrane center-arc"),
+        _arc_path(cx, 0.0, r_s, (-half_s, 0.0, half_s), "membrane side-arc"),
+        _arc_path(-cx, 0.0, r_s, (math.pi - half_s, math.pi, math.pi + half_s),
                   "membrane side-arc"),
     ]
     for (x, y0), (_, y1) in section.strip_segments:

@@ -187,7 +187,7 @@ def read_outline_csv(path) -> Polygon:
     Raises:
         ValueError: unreadable rows or fewer than 3 vertices.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         text = handle.read()
     points = _parse_plain_outline(text)
     if points is None:

@@ -110,6 +110,13 @@ class TestForwardShape:
         assert svg_text.startswith("<?xml")
         assert 'viewBox="-95 -50.8 190 101.6"' in svg_text
 
+    def test_sub_mm_shape_with_shallow_side_arc(self, capsys):
+        # the side arc's sagitta is under the 1e-4 mm arc resolution
+        assert cli.main(["shape", "--hc", "0.3772306570647563",
+                         "--hs", "0.0190982771556225",
+                         "--w", "0.377321354666405"]) == 0
+        assert json.loads(capsys.readouterr().out)["side"]["area_mm2"] > 0
+
     def test_round_trip_golden_docs_example(self):
         # inverse on the docs spec, forward on its fab output: the spec
         # block must reproduce the docs spec byte for byte

@@ -74,15 +74,28 @@ S1_COMPARE = ("--outline", str(EXAMPLES / "outline.csv"), *S1_FAB)
 S1_FORCE = ("--pressure-kpa", "2", *S1_FAB)
 
 
+def _help_flags(capsys, mode):
+    # every option ``crosssec <mode> --help`` lists, but --help
+    with pytest.raises(SystemExit) as info:
+        cli.main([mode, "--help"])
+    assert info.value.code == 0
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
+                          capsys.readouterr().out)) - {"--help"}
+
+
 class TestModeFlags:
     @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
     def test_each_mode_takes_only_the_flags_it_reads(self, capsys, mode):
-        with pytest.raises(SystemExit) as info:
-            cli.main([mode, "--help"])
-        assert info.value.code == 0
-        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
-                               capsys.readouterr().out))
-        assert flags - {"--help"} == MODE_FLAGS[mode]
+        assert _help_flags(capsys, mode) == MODE_FLAGS[mode]
+
+    def test_docs_mode_table_matches_the_parser(self, capsys):
+        # the per-mode table in docs/formats.md; --config is in every mode
+        text = (REPO / "docs/formats.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", text, re.MULTILINE)
+        assert sorted(mode for mode, _ in rows) == list(DOCS_MODES)
+        for mode, flags in rows:
+            assert set(re.findall(r"--[a-z][a-z0-9-]*", flags)) | {
+                "--config"} == _help_flags(capsys, mode), mode
 
     @pytest.mark.parametrize("argv", [
         ["inverse", *SPEC_190, "--abs-tol", "1e-9"],
@@ -247,6 +260,9 @@ _UNREAD = [
                              "outline": "x.csv"}}, "compare.outline"),
     ("shape", {"spec": {"H_c_mm": 101.6, "H_s_mm": 50.8, "w_mm": 190},
                "output": {"svg": None, "SVG": "out.svg"}}, "output.SVG"),
+    # a dotted top-level key is no section's field
+    ("forward", {"fab": {"S_c_mm": 152, "S_s_mm": 127, "L_mm": 76.2},
+                 "fab.L_mm": 3}, "fab.L_mm"),
 ]
 
 
@@ -263,6 +279,25 @@ def test_unread_config_key_exit_1(tmp_path, monkeypatch, capsys, mode,
     assert out == ""
     assert err == f"crosssec: error: {mode} does not read config key {key!r}\n"
     assert list(tmp_path.iterdir()) == [job]
+
+
+@pytest.mark.parametrize("mode, config, section", [
+    ("forward", {"fab": [152, 127, 76.2]}, "fab"),
+    # sections the run would not use
+    ("force", {"force": {"pressure_kpa": 2, "area_mm2": 100}, "fab": 5},
+     "fab"),
+    ("force", {"force": {"pressure_kpa": 2},
+               "fab": {"S_c_mm": 152, "S_s_mm": 127, "L_mm": 76.2},
+               "spec": None}, "spec"),
+])
+def test_non_object_section_exit_1(tmp_path, capsys, mode, config, section):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main([mode, "--config", str(job)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"crosssec: error: job config field {section!r} must be "
+                   "an object\n")
 
 
 class TestCappedSolve:

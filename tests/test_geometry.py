@@ -248,6 +248,19 @@ class TestPolygonization:
         assert np.allclose(lp[:, 0], -rp[::-1, 0], atol=1e-12)
         assert np.allclose(lp[:, 1], rp[::-1, 1], atol=1e-12)
 
+    def test_sub_mm_sections_keep_their_side_area(self):
+        # thin sub-mm side channels: arcs whose sagitta is under the
+        # default 1e-4 mm resolution, forward and through the inverse
+        rng = np.random.default_rng(1)
+        for _ in range(500):
+            s_c = 10.0 ** rng.uniform(-3.0, 0.0)
+            s_s = s_c * 10.0 ** rng.uniform(-3.0, 0.0)
+            section = forward_geometry(
+                FabricationParams(s_c, s_s, s_s * rng.uniform()))
+            assert section.sides[1].area > 0.0
+            if validate_spec(section.spec).feasible:
+                assert build_cross_section(section.spec).sides[1].area > 0.0
+
     def test_outline_simple_ccw_and_area(self, s1_section):
         outline = cross_section_outline(s1_section, 1e-4)
         assert outline.signed_area() > 0

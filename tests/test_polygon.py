@@ -36,6 +36,12 @@ class TestArcPoints:
         pts = arc_points(0.0, 0.0, 1.0, 0.0, 2.0 * math.pi, 100.0)
         assert len(pts) >= 7
 
+    def test_shallow_arc_gets_two_chords(self):
+        # one chord is within tolerance here, but closes on itself
+        pts = arc_points(0.0, 0.0, 1.0, -0.01, 0.01, 1e-3)
+        assert len(pts) == 3
+        assert Polygon(pts).area() > 0
+
     def test_full_circle_closes(self):
         pts = arc_points(3.0, 0.0, 2.0, -math.pi, math.pi, 1e-4)
         assert pts[0] == pytest.approx(pts[-1], abs=1e-12)

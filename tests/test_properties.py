@@ -132,9 +132,7 @@ class TestZeroStrip:
         h_c, h_s, w = _forward(fab)
         assert h_c == 2.0 * s_c / math.pi
         assert h_s == fab[1] / math.pi
-        # the inverse is sqrt(eps) conditioned on gamma = 0: the roundoff
-        # left in the discriminant comes back as its square root
         s_c2, s_s2, l2 = _inverse((h_c, h_s, w))
-        assert abs(s_c2 - s_c) <= 3e-7 * s_c
-        assert abs(s_s2 - fab[1]) <= 3e-7 * fab[1]
-        assert l2 <= 3e-7 * w
+        assert abs(s_c2 - s_c) <= 1e-15 * s_c
+        assert abs(s_s2 - fab[1]) <= 1e-15 * fab[1]
+        assert l2 <= 1e-15 * w

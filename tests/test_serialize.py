@@ -1,5 +1,6 @@
 import json
 import math
+from contextlib import nullcontext
 from unittest import mock
 
 import pytest
@@ -175,6 +176,21 @@ class TestReadOutlineCsv:
         path = self.write(tmp_path, "0,0\n1,2,3\n4\n1,1\n")
         with pytest.raises(ValueError, match="row 3 has fewer than 2 columns"):
             read_outline_csv(path)
+
+    @pytest.mark.parametrize("text, plain", [
+        ("0,0\n4,0\n4,4\n0,4\n", True),
+        ("x_mm,y_mm\n0,0\n4,0\n4,4\n0,4\n", True),
+        ('"0",0\n4,0\n4,4\n0,4\n', False),  # a quote: the row reader
+    ])
+    def test_byte_order_mark_is_not_a_cell(self, tmp_path, text, plain):
+        # a leading U+FEFF would make row 1 of a headerless file a header
+        path = tmp_path / "outline.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        with mock.patch.object(serialize, "_parse_outline_rows",
+                               _rows_only) if plain else nullcontext():
+            poly = read_outline_csv(path)
+        assert len(poly) == 4
+        assert poly.signed_area() == 16.0
 
     def test_oversized_field_is_a_value_error(self, tmp_path):
         path = self.write(tmp_path, "0,0\n1,0\n0," + "0" * 200_000 + "1\n")
