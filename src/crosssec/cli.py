@@ -101,9 +101,9 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _check_path(path, name: str):
+def _check_path(path, name: str) -> str:
     # open() would take an int as a file descriptor (0 is stdin)
-    if path is not None and not isinstance(path, str):
+    if not isinstance(path, str):
         raise ValueError(f"{name} must be a path string, got {path!r}")
     return path
 
@@ -139,7 +139,9 @@ def _resolve_job(args, config: dict) -> dict:
     job.update((key, getattr(args, flag)) for key, flag in flags.items()
                if getattr(args, flag) is not None)
     for kind in _OUTPUTS:
-        _check_path(job.get(f"output.{kind}"), f"output {kind}")
+        path = job.get(f"output.{kind}")
+        if path is not None:  # a null output path writes no file
+            _check_path(path, f"output {kind}")
     return job
 
 
@@ -177,9 +179,10 @@ def _resolution(job: dict) -> float:
                         "arc resolution", "positive")
 
 
-def _parse_grid(value, name: str) -> list[float]:
-    if value is None:
+def _parse_grid(job: dict, key: str, name: str) -> list[float]:
+    if key not in job:
         raise ValueError(f"sweep needs {name}")
+    value = job[key]
     if isinstance(value, str):
         parts = [p for p in value.replace(",", " ").split() if p]
         try:
@@ -194,7 +197,8 @@ def _parse_grid(value, name: str) -> list[float]:
 
 # Each command takes the resolved job, checks and computes, and returns
 # the stdout text with the section an SVG output draws (None where the
-# mode has none).
+# mode has none).  A key in the job was given, even as null, so it is
+# tested with ``in`` and a null reaches its check.
 
 def _cmd_inverse(job):
     spec = _record(job, "spec")
@@ -227,35 +231,33 @@ def _cmd_shape(job):
 
 
 def _cmd_sweep(job):
-    perimeter = job.get("sweep.perimeter_mm")
-    if perimeter is None:
+    if "sweep.perimeter_mm" not in job:
         raise ValueError("sweep needs --perimeter or config sweep.perimeter_mm")
-    arcs = _parse_grid(job.get("sweep.S_c_mm"), "--sc / sweep.S_c_mm")
-    strips = _parse_grid(job.get("sweep.L_mm"), "--l / sweep.L_mm")
-    perimeter = check_number(perimeter, "sweep perimeter_mm", "positive")
+    arcs = _parse_grid(job, "sweep.S_c_mm", "--sc / sweep.S_c_mm")
+    strips = _parse_grid(job, "sweep.L_mm", "--l / sweep.L_mm")
+    perimeter = check_number(job["sweep.perimeter_mm"], "sweep perimeter_mm",
+                             "positive")
     records = sweep_constant_perimeter(perimeter, arcs, strips)
     return sweep_to_csv(records), None
 
 
 def _cmd_oracle(job):
-    s_c, strip = job.get("fab.S_c_mm"), job.get("fab.L_mm")
-    if s_c is None or strip is None:
+    if "fab.S_c_mm" not in job or "fab.L_mm" not in job:
         raise ValueError("oracle needs --sc and --l (or config fab)")
     # checked here too, so that messages name the config fields and the
     # output echoes the values as the library takes them (1e4 as 10000)
     grid_points = check_number(job.get("oracle.grid_points", 1_000_000),
                                "oracle grid_points", "integer")
-    s_c = check_number(s_c, "S_c_mm", "positive")
-    strip = check_number(strip, "L_mm", "non-negative")
+    s_c = check_number(job["fab.S_c_mm"], "S_c_mm", "positive")
+    strip = check_number(job["fab.L_mm"], "L_mm", "non-negative")
     result = area_max_oracle(s_c, strip, grid_points)
     return to_json(oracle_to_dict(s_c, strip, grid_points, result)), None
 
 
 def _cmd_compare(job):
-    outline_path = _check_path(job.get("compare.outline_csv"),
-                               "compare outline")
-    if outline_path is None:
+    if "compare.outline_csv" not in job:
         raise ValueError("compare needs --outline or config compare.outline_csv")
+    outline_path = _check_path(job["compare.outline_csv"], "compare outline")
     fab = _record(job, "fab")
     resolution = _resolution(job)
     measured = read_outline_csv(outline_path)
@@ -268,13 +270,12 @@ def _cmd_compare(job):
 
 
 def _cmd_force(job):
-    pressure = job.get("force.pressure_kpa")
-    if pressure is None:
+    if "force.pressure_kpa" not in job:
         raise ValueError("force needs --pressure-kpa")
-    pressure = check_number(pressure, "pressure_kpa", "non-negative")
-    area = job.get("force.area_mm2")
-    if area is not None:
-        area = check_number(area, "area_mm2", "non-negative")
+    pressure = check_number(job["force.pressure_kpa"], "pressure_kpa",
+                            "non-negative")
+    area = check_number(job["force.area_mm2"], "area_mm2", "non-negative") \
+        if "force.area_mm2" in job else None
     resolution = _resolution(job)
     if area is None:
         # the record any of whose flags or fields were given, fab first

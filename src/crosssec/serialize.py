@@ -1,11 +1,12 @@
 """Canonical serialization: stable bytes for identical inputs.
 
 JSON and CSV field names mirror the symbol vocabulary with unit suffixes
-(``H_c_mm``, ``S_c_mm``, ``theta_c_rad``).  Every float is rounded to 9
-significant digits before formatting, keys are sorted and newlines are
-LF, so serialize -> parse -> serialize is idempotent and repeated runs
-are byte-identical.  Infinities (the ergonomic index when the channel
-heights match) serialize as the strings ``"inf"`` / ``"-inf"``.
+(``H_c_mm``, ``S_c_mm``, ``theta_c_rad``).  Every JSON float is written
+as the ``repr`` of its rounding to 9 significant digits, keys are sorted
+and newlines are LF, so serialize -> parse -> serialize is idempotent
+and repeated runs are byte-identical.  Infinities (the ergonomic index
+when the channel heights match) serialize as the strings ``"inf"`` /
+``"-inf"``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import io
 import json
 import math
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -28,13 +30,6 @@ SWEEP_CSV_HEADER = ("S_c_mm", "L_mm", "S_s_mm", "H_c_mm", "H_s_mm", "w_mm",
                     "ergonomic_index", "feasible", "reason")
 
 
-def round_sig(value: float, digits: int = 9) -> float:
-    """Round to ``digits`` significant digits (exact for inf/0)."""
-    if value == 0.0 or not math.isfinite(value):
-        return value
-    return float(f"{value:.{digits}g}")
-
-
 def fmt(value: float, digits: int = 9) -> str:
     """Format a float at ``digits`` significant digits; inf -> "inf"."""
     if math.isinf(value):
@@ -42,24 +37,99 @@ def fmt(value: float, digits: int = 9) -> str:
     return f"{value:.{digits}g}"
 
 
-def canonical(obj):
-    """Normalize a JSON-able tree: floats to 9 significant digits,
-    infinities to strings, tuples to lists."""
-    if isinstance(obj, dict):
-        return {key: canonical(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [canonical(val) for val in obj]
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return fmt(obj) if math.isinf(obj) else round_sig(obj)
-    return obj
-
-
 def to_json(obj) -> str:
-    """Canonical JSON text (sorted keys, 2-space indent, trailing LF)."""
-    return json.dumps(canonical(obj), indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
+    """Canonical JSON text (sorted keys, 2-space indent, trailing LF).
+
+    The text is that of ``json.dumps(..., indent=2, sort_keys=True,
+    allow_nan=False)`` for the tree with every float replaced by its
+    9-significant-digit rounding and every infinity by ``"inf"`` /
+    ``"-inf"``, written in one walk.
+
+    Raises:
+        ValueError: a NaN, or an infinite float key.
+        TypeError: a value, or a key, that JSON has no form for.
+    """
+    out: list[str] = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, out: list[str], newline: str) -> None:
+    """Append the JSON text of ``obj``, nested at indent ``newline``."""
+    # no object is an instance of two of these types, bool aside
+    if isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + (_encode_str(key) if isinstance(key, str)
+                              else _key_text(key)) + ": ")
+            _write(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_text(value: float) -> str:
+    """``float.__repr__`` of ``value`` rounded to 9 significant digits;
+    ``"inf"`` / ``"-inf"`` as JSON strings; ValueError for NaN.
+
+    A normal double's ``.9g`` digits are the digits ``repr`` prints (any
+    decimal of at most 15 significant digits round-trips), so only the
+    layout differs: ``repr`` adds ``.0`` to integral values and prints
+    exponents 9 to 15 positionally.
+    """
+    text = f"{value:.9g}"
+    if "e" in text:
+        exponent = int(text[text.index("e") + 1:])
+        # at the ends of the range repr gets its own digits: subnormals
+        # (from exponent -308 down) keep fewer than 9
+        if 9 <= exponent <= 15 or not -308 < exponent < 308:
+            return float.__repr__(float(text))
+        return text
+    if "." in text:
+        return text
+    if value != value:
+        raise ValueError(
+            f"Out of range float values are not JSON compliant: {value!r}")
+    if text[-1] == "f":
+        return f'"{text}"'
+    return text + ".0"
+
+
+def _key_text(key) -> str:
+    """A non-string dict key as ``json.dumps`` writes it: the unrounded
+    JSON text of a float, int, bool or None key, as a string."""
+    if key is None or isinstance(key, (int, float)):
+        return _encode_str(json.dumps(key, allow_nan=False))
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
 
 
 def spec_to_dict(spec: DesignSpec) -> dict:

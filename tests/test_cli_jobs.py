@@ -300,6 +300,77 @@ def test_non_object_section_exit_1(tmp_path, capsys, mode, config, section):
                    "an object\n")
 
 
+_FAB = {"S_c_mm": 152, "S_s_mm": 127, "L_mm": 76.2}
+_SPEC = {"H_c_mm": 101.6, "H_s_mm": 50.8, "w_mm": 190}
+#: Valid jobs whose every numeric and path field the run reads.
+_READ_JOBS = [
+    ("inverse", {"spec": _SPEC}),
+    ("forward", {"fab": _FAB, "arc_resolution_mm": 1e-3}),
+    ("shape", {"spec": _SPEC, "arc_resolution_mm": 1e-3}),
+    ("sweep", {"sweep": {"perimeter_mm": 558, "S_c_mm": [152],
+                         "L_mm": [76.2]}}),
+    ("oracle", {"fab": {"S_c_mm": 152, "L_mm": 76.2},
+                "oracle": {"grid_points": 1000}}),
+    ("compare", {"fab": _FAB, "arc_resolution_mm": 1e-3,
+                 "compare": {"outline_csv": str(EXAMPLES / "outline.csv")}}),
+    ("force", {"force": {"pressure_kpa": 2, "area_mm2": 100},
+               "arc_resolution_mm": 1e-3}),
+    ("force", {"force": {"pressure_kpa": 2}, "fab": _FAB}),
+    ("force", {"force": {"pressure_kpa": 2}, "spec": _SPEC}),
+]
+#: What a null field's message says, where it is not ``<field> must be a
+#: number``.
+_NULL_MESSAGES = {
+    "arc_resolution_mm": "arc resolution must be a number",
+    "sweep.S_c_mm": "sweep.S_c_mm: expected a list of numbers",
+    "sweep.L_mm": "sweep.L_mm: expected a list of numbers",
+    "compare.outline_csv": "compare outline must be a path string",
+}
+
+
+def _nulled(config, key):
+    section, _, field = key.rpartition(".")
+    config = json.loads(json.dumps(config))
+    (config[section] if section else config)[field] = None
+    return config
+
+
+_NULL_CASES = [
+    (mode, _nulled(config, key), key)
+    for mode, config in _READ_JOBS
+    for key in (f"{name}.{field}" if isinstance(value, dict) else name
+                for name, value in config.items()
+                for field in (value if isinstance(value, dict) else [None]))
+] + [
+    # a null area does not fall back to the geometry beside it
+    ("force", {"force": {"pressure_kpa": 2, "area_mm2": None}, "fab": _FAB},
+     "force.area_mm2"),
+]
+
+
+@pytest.mark.parametrize("mode, config", _READ_JOBS)
+def test_read_jobs_are_valid(tmp_path, capsys, mode, config):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main([mode, "--config", str(job)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("mode, config, key", _NULL_CASES)
+def test_null_field_exit_1(tmp_path, capsys, mode, config, key):
+    # null is no number and no path, wherever the run reads it
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main([mode, "--config", str(job)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    message = _NULL_MESSAGES.get(
+        key, f"{key.rpartition('.')[2]} must be a number")
+    assert err.startswith("crosssec: error: ")
+    assert err.endswith(f"{message}, got None\n")
+    assert err.count("\n") == 1
+
+
 class TestCappedSolve:
     # S1 takes 5 center and 4 side steps, so a cap of 2 stops its solves
     @pytest.mark.parametrize("argv, outputs", [

@@ -1,8 +1,12 @@
 import json
 import math
+import random
+import struct
+import sys
 from contextlib import nullcontext
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,10 +15,42 @@ from crosssec import serialize
 
 from crosssec.analysis import SweepRecord, sweep_constant_perimeter
 from crosssec.geometry import DesignSpec, FabricationParams
-from crosssec.serialize import (SWEEP_CSV_HEADER, canonical, fab_from_dict,
-                                fab_to_dict, fmt, read_outline_csv,
-                                round_sig, section_to_dict, spec_from_dict,
-                                spec_to_dict, sweep_to_csv, to_json)
+from crosssec.serialize import (SWEEP_CSV_HEADER, fab_from_dict, fab_to_dict,
+                                fmt, read_outline_csv, section_to_dict,
+                                spec_from_dict, spec_to_dict, sweep_to_csv,
+                                to_json)
+from crosssec.solver import forward_geometry
+
+
+# The reference for to_json: round every float in a rebuilt tree, then
+# let json write it.  to_json must give the same text, or the same error.
+
+def round_sig(value: float, digits: int = 9) -> float:
+    """Round to ``digits`` significant digits (exact for inf/0)."""
+    if value == 0.0 or not math.isfinite(value):
+        return value
+    return float(f"{value:.{digits}g}")
+
+
+def canonical(obj):
+    """Normalize a JSON-able tree: floats to 9 significant digits,
+    infinities to strings, tuples to lists."""
+    if isinstance(obj, dict):
+        return {key: canonical(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [canonical(val) for val in obj]
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return fmt(obj) if math.isinf(obj) else round_sig(obj)
+    return obj
+
+
+def reference_json(obj) -> str:
+    return json.dumps(canonical(obj), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
 class TestFormatting:
     def test_round_sig(self):
         assert round_sig(math.pi) == 3.14159265
@@ -44,6 +80,24 @@ class TestFormatting:
 
 
 class TestJson:
+    @pytest.mark.parametrize("value, text", [
+        (1e-05, "1e-05"),
+        (9.9999999995e-05, "0.0001"),  # rounds up into positional layout
+        (152.0, "152.0"),
+        (999999999.7, "1000000000.0"),  # .9g writes 1e+09
+        (123456789012.0, "123456789000.0"),
+        (1e16, "1e+16"),
+        (-0.0, "-0.0"),
+        (5e-324, "5e-324"),  # .9g writes 4.94065646e-324
+        (sys.float_info.min, "2.22507386e-308"),
+        (sys.float_info.max, "1.79769313e+308"),
+        (math.inf, '"inf"'),
+        (-math.inf, '"-inf"'),
+    ])
+    def test_float_layout(self, value, text):
+        assert to_json([value]) == f"[\n  {text}\n]\n"
+        assert reference_json([value]) == to_json([value])
+
     def test_sorted_keys_and_trailing_newline(self):
         text = to_json({"b": 1.0, "a": 2.0})
         assert text == '{\n  "a": 2.0,\n  "b": 1.0\n}\n'
@@ -62,6 +116,93 @@ class TestJson:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             to_json({"x": math.nan})
+
+    @pytest.mark.parametrize("path", sorted(
+        (REPO / "tests/data").glob("*.stdout.json")), ids=lambda p: p.name)
+    def test_cli_outputs_reserialize(self, path):
+        # docs/formats.md: parsing and re-serializing any emitted document
+        # reproduces it byte for byte
+        text = path.read_text(encoding="utf-8")
+        assert to_json(json.loads(text)) == text
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+def _signed(floats):
+    return st.tuples(floats, st.booleans()).map(
+        lambda pair: -pair[0] if pair[1] else pair[0])
+
+
+# every float layout: any double, raw bit patterns (NaN payloads and
+# subnormals included), the band that repr prints positionally but .9g
+# does not, 9-digit round-ups across each power of ten, and the specials
+_FLOATS = st.one_of(
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(_double),
+    _signed(st.floats(1e8, 1e17)),
+    _signed(st.tuples(st.integers(-330, 308), st.sampled_from(
+        ["9.9999999995", "9.99999999949", "9.999999999500001"])).map(
+            lambda pair: float(f"{pair[1]}e{pair[0]}"))),
+    _signed(st.floats(0.0, 2.3e-308)),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+_SCALARS = st.one_of(
+    _FLOATS, _FLOATS.map(np.float64), st.none(), st.booleans(),
+    st.integers(), st.text(),
+    # no JSON form
+    st.sampled_from([b"x", np.int64(3), np.float32(1.5), np.bool_(True),
+                     {1}, object()]))
+# keys json.dumps turns into strings, mixed with strings (unsortable)
+_KEYS = st.one_of(st.integers(-3, 3), st.floats(), st.booleans(), st.none(),
+                  st.text(max_size=2))
+_TREES = st.recursive(_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), children, max_size=4),
+    st.dictionaries(_KEYS, children, max_size=3)), max_leaves=12)
+
+
+def _json_outcome(write, obj):
+    try:
+        return write(obj)
+    except Exception as exc:  # compared, not hidden
+        return type(exc)
+
+
+class TestJsonDifferential:
+    @settings(max_examples=500, deadline=None)
+    @given(value=_SCALARS)
+    @example(value=999999999.5)
+    @example(value=-9.9999999995e15)
+    @example(value=float.fromhex("0x1.0p-1022"))
+    @example(value=np.float64(-0.0))
+    @example(value=np.float64(math.nan))
+    @example(value="\x00\u00e9\u2028\ud800")
+    @example(value=2**70)
+    def test_scalars_match_reference(self, value):
+        assert _json_outcome(to_json, [value]) \
+            == _json_outcome(reference_json, [value])
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=_TREES)
+    @example(tree={"b": [], "a": {}, "c": ()})
+    @example(tree={2: 1.5, 1.5: None, True: "x"})
+    @example(tree={"x": [1.0, math.nan], "y": object()})
+    @example(tree={math.inf: 1.0})
+    def test_trees_match_reference(self, tree):
+        assert _json_outcome(to_json, tree) \
+            == _json_outcome(reference_json, tree)
+
+    def test_section_documents_match_reference(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            s_c = 10.0 ** rng.uniform(-3, 6)
+            s_s = s_c * rng.uniform(0.2, 3.0)
+            fab = FabricationParams(s_c, s_s, s_s * rng.uniform(0.0, 0.95))
+            doc = section_to_dict(forward_geometry(fab))
+            assert to_json(doc) == reference_json(doc)
 
 
 class TestDictConversions:
