@@ -95,7 +95,10 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as handle:
-        config = json.load(handle)
+        try:
+            config = json.load(handle)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"{path}: job config must be a JSON object")
     return config

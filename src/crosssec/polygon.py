@@ -65,17 +65,37 @@ def arc_points(cx: float, cy: float, radius: float, start_angle: float,
     return np.column_stack((cx + radius * np.cos(t), cy + radius * np.sin(t)))
 
 
-def _cross(o, p, q):
-    # z of (p - o) x (q - o): positive when q lies left of the ray o -> p
-    return ((p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1])
-            - (p[..., 1] - o[..., 1]) * (q[..., 0] - o[..., 0]))
+def _unit_frame(points: np.ndarray) -> tuple[np.ndarray, int]:
+    """The vertices times 2**-e, which puts them in [-1, 1], and e.
+
+    A power of two scales exactly (but for vertices that become
+    subnormal, far below the resolution of the largest), so products of
+    the scaled vertices keep their signs and digits, and none overflows,
+    nor, for a tiny outline, underflows.
+    """
+    e = math.frexp(float(np.max(np.abs(points))))[1]
+    scaled = np.ldexp(points, -e)
+    scaled.flags.writeable = False
+    return scaled, e
+
+
+def _shoelace(scaled: np.ndarray) -> float:
+    """Signed area of unit-scaled vertices, shifted so that the first
+    lies at the origin; the closing edge's term is then zero."""
+    pts = scaled - scaled[0]
+    x = pts[:, 0]
+    y = pts[:, 1]
+    return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
 class Polygon:
     """Simple closed polygon; the closing edge is implicit.
 
     A trailing vertex identical to the first is dropped on construction.
-    Vertices are stored as a read-only ``(n, 2)`` float array.
+    Vertices are a read-only ``(n, 2)`` float array behind the read-only
+    ``points`` property.  The unit-scaled frame that the area and the
+    crossing test run on, and the shoelace sum, are computed on first use
+    and kept, so each is computed at most once per instance.
     """
 
     def __init__(self, points):
@@ -90,7 +110,14 @@ class Polygon:
             raise ValueError("polygon needs at least 3 distinct vertices")
         pts = np.array(pts)
         pts.flags.writeable = False
-        self.points = pts
+        self._points = pts
+        self._frame = None  # (unit-scaled vertices, e), on first use
+        self._scaled_area = None  # their shoelace sum, on first use
+
+    @property
+    def points(self) -> np.ndarray:
+        """The ``(n, 2)`` vertices, read-only."""
+        return self._points
 
     def __len__(self) -> int:
         return len(self.points)
@@ -99,13 +126,9 @@ class Polygon:
         return iter(self.points)
 
     def _unit_scaled(self) -> tuple[np.ndarray, int]:
-        # The vertices times 2**-e, which puts them in [-1, 1], and e.  A
-        # power of two scales exactly (but for vertices that become
-        # subnormal, far below the resolution of the largest), so products
-        # of the scaled vertices keep their signs and digits, and none
-        # overflows, nor, for a tiny outline, underflows.
-        e = math.frexp(float(np.max(np.abs(self.points))))[1]
-        return np.ldexp(self.points, -e), e
+        if self._frame is None:
+            self._frame = _unit_frame(self._points)
+        return self._frame
 
     def signed_area(self) -> float:
         """Shoelace area (mm^2), positive for counter-clockwise winding;
@@ -115,15 +138,13 @@ class Polygon:
         so that the first lies at the origin.  That leaves the area's
         digits as they are, but a small outline far from the origin no
         longer cancels, and only an area beyond the float range overflows.
-        The closing edge's term is then zero and left out.
+        The scaled sum is kept; each call only scales it back.
         """
-        pts, e = self._unit_scaled()
-        pts = pts - pts[0]
-        x = pts[:, 0]
-        y = pts[:, 1]
-        area = 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
+        scaled, e = self._unit_scaled()
+        if self._scaled_area is None:
+            self._scaled_area = _shoelace(scaled)
         try:
-            return math.ldexp(area, 2 * e)
+            return math.ldexp(self._scaled_area, 2 * e)
         except OverflowError:
             raise DegeneratePolygon(
                 "polygon area overflows the float range") from None
@@ -148,20 +169,26 @@ class Polygon:
         tested ``_PAIR_CHUNK`` at a time, returning at the first chunk
         with a crossing, so memory stays O(n) however large k is.
 
-        The orientation tests run on the vertices scaled into [-1, 1], so
+        The sorted edges are held as four flat arrays of endpoint
+        coordinates, and each chunk's pairs are gathered from them into
+        buffers allocated once per call.  The orientation tests run on
+        the kept unit-scaled frame, the vertices scaled into [-1, 1], so
         that no orientation overflows into an inf - inf = NaN that would
         compare as "no crossing", at any offset or size.
         """
         pts, _ = self._unit_scaled()
         n = len(pts)
-        nxt = np.roll(pts, -1, axis=0)
-        order = np.argsort(np.minimum(pts[:, 0], nxt[:, 0]), kind="stable")
-        a = pts[order]
-        b = nxt[order]
-        x_lo = np.minimum(a[:, 0], b[:, 0])
-        x_hi = np.maximum(a[:, 0], b[:, 0])
-        y_lo = np.minimum(a[:, 1], b[:, 1])
-        y_hi = np.maximum(a[:, 1], b[:, 1])
+        x = pts[:, 0]
+        y = pts[:, 1]
+        x_next = np.concatenate((x[1:], x[:1]))
+        y_next = np.concatenate((y[1:], y[:1]))
+        order = np.argsort(np.minimum(x, x_next), kind="stable")
+        ax, ay = x[order], y[order]
+        bx, by = x_next[order], y_next[order]
+        x_lo = np.minimum(ax, bx)
+        x_hi = np.maximum(ax, bx)
+        y_lo = np.minimum(ay, by)
+        y_hi = np.maximum(ay, by)
         # Sorted edge i overlaps in x exactly the edges i+1 .. stop[i]-1.
         # Number those pairs row by row, row i starting at first[i], so
         # pair k of row i is edge j = i + 1 + k - first[i]; a chunk of
@@ -182,6 +209,7 @@ class Polygon:
         hi_buf = np.empty(size)
         near_buf = np.empty(size, dtype=bool)
         keep_buf = np.empty(size, dtype=bool)
+        ends = np.empty((8, size))
 
         def take(values, index, buf):
             # index is in range by construction; "clip" skips the check
@@ -203,11 +231,19 @@ class Polygon:
             hits = np.flatnonzero(near)
             i = i[hits]
             j = j[hits]
-            ai, bi, aj, bj = a[i], b[i], a[j], b[j]
-            d1 = _cross(ai, bi, aj)
-            d2 = _cross(ai, bi, bj)
-            d3 = _cross(aj, bj, ai)
-            d4 = _cross(aj, bj, bi)
+            aix, aiy = take(ax, i, ends[0]), take(ay, i, ends[1])
+            bix, biy = take(bx, i, ends[2]), take(by, i, ends[3])
+            ajx, ajy = take(ax, j, ends[4]), take(ay, j, ends[5])
+            bjx, bjy = take(bx, j, ends[6]), take(by, j, ends[7])
+            # orientations: the z of (p - o) x (q - o), positive when q
+            # lies left of the ray o -> p, for edge i as o -> p and q = a_j,
+            # b_j, then for edge j and q = a_i, b_i
+            ex, ey = bix - aix, biy - aiy
+            d1 = ex * (ajy - aiy) - ey * (ajx - aix)
+            d2 = ex * (bjy - aiy) - ey * (bjx - aix)
+            ex, ey = bjx - ajx, bjy - ajy
+            d3 = ex * (aiy - ajy) - ey * (aix - ajx)
+            d4 = ex * (biy - ajy) - ey * (bix - ajx)
             if np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0)):
                 return False
         return True

@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
@@ -25,6 +24,9 @@ from .geometry import (CrossSection, DesignSpec, FabricationParams,
                        FeasibilityReport)
 from .polygon import Polygon
 from .solver import OracleResult
+
+#: The bytes of a comma and of a line feed.
+_COMMA, _LF = b",\n"
 
 SWEEP_CSV_HEADER = ("S_c_mm", "L_mm", "S_s_mm", "H_c_mm", "H_s_mm", "w_mm",
                     "ergonomic_index", "feasible", "reason")
@@ -255,10 +257,14 @@ def read_outline_csv(path) -> Polygon:
     which accepts the same files and names the row it cannot read.
 
     Raises:
-        ValueError: unreadable rows or fewer than 3 vertices.
+        ValueError: text that is not UTF-8, unreadable rows or fewer than
+            3 vertices; the message names the file.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     points = _parse_plain_outline(text)
     if points is None:
         points = _parse_outline_rows(text, path)
@@ -276,6 +282,10 @@ def _parse_plain_outline(text: str):
     other line, at least 3 rows, and cells that ``float()`` reads.  The
     row reader gives every such text the same points, so returning None
     is always safe.
+
+    The rows are checked in one pass over the UTF-8 bytes of the body:
+    its commas and LFs, which never occur inside a multi-byte sequence,
+    must alternate comma, LF, ..., comma, and number at least 5.
     """
     if '"' in text:
         return None
@@ -283,21 +293,27 @@ def _parse_plain_outline(text: str):
         text = text.replace("\r\n", "\n")
         if "\r" in text:
             return None
-    lines = text.removesuffix("\n").split("\n")
+    text = text.removesuffix("\n")
     if (len(text) > csv.field_size_limit()
-            and max(map(len, lines)) > csv.field_size_limit()):
+            and max(map(len, text.split("\n"))) > csv.field_size_limit()):
         return None  # the row reader's field limit decides these
-    head = lines[0].split(",")
+    first, _, rest = text.partition("\n")
+    head = first.split(",")
     if len(head) != 2:
         return None
+    body = text
     try:
         float(head[0]), float(head[1])
     except ValueError:
-        del lines[0]  # header row
-    if len(lines) < 3 or set(map(str.count, lines, repeat(","))) != {1}:
+        body = rest  # header row
+    code = np.frombuffer(body.encode("utf-8"), np.uint8)
+    seps = code[(code == _COMMA) | (code == _LF)]
+    if (len(seps) < 5 or len(seps) % 2 == 0
+            or not (seps[::2] == _COMMA).all() or not (seps[1::2] == _LF).all()):
         return None
     try:
-        return np.array(",".join(lines).split(","), dtype=float).reshape(-1, 2)
+        return np.array(body.replace("\n", ",").split(","),
+                        dtype=float).reshape(-1, 2)
     except ValueError:
         return None
 

@@ -94,6 +94,27 @@ class TestForwardShape:
         assert out.returncode == 1
         assert len(out.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("name, data, flag, reason", [
+        ("outline.csv", b"\xff\xfe0,0\n1,0\n0,1\n", "--outline",
+         "'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte"),
+        ("job.json", b'{"mode": "\xff"}', "--config",
+         "'utf-8' codec can't decode byte 0xff in position 10: "
+         "invalid start byte"),
+        ("job.json", b'{\n  "mode": "compare"', "--config",
+         "Expecting ',' delimiter: line 2 column 20 (char 21)"),
+    ])
+    def test_unreadable_file_is_named(self, tmp_path, name, data, flag,
+                                      reason):
+        path = tmp_path / name
+        path.write_bytes(data)
+        out = run_cli("compare", flag, path,
+                      "--sc", 152, "--ss", 127, "--l", 76.2)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.splitlines() == [
+            f"crosssec: error: {path}: {reason}"]
+
     def test_config_mode_mismatch(self):
         out = run_cli("forward", "--config", "docs/examples/job_inverse.json")
         assert out.returncode == 1

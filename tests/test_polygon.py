@@ -326,3 +326,97 @@ class TestIsSimpleSweep:
         points[k, 0] -= 2.0
         assert not Polygon(points).is_simple()
         assert not all_pairs_is_simple(points)
+
+
+def reference_signed_area(points) -> float:
+    """Reference: the shoelace on the unit-scaled, shifted vertices,
+    computed afresh on every call."""
+    pts = np.asarray(points, dtype=float)
+    e = math.frexp(float(np.max(np.abs(pts))))[1]
+    pts = np.ldexp(pts, -e)
+    pts = pts - pts[0]
+    x = pts[:, 0]
+    y = pts[:, 1]
+    return math.ldexp(0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1])),
+                      2 * e)
+
+
+def section_like_outline(rng) -> np.ndarray:
+    """Four circular arcs, side-top-side-bottom, like a three-channel
+    section's outline, at a random size and sampling."""
+    r_c, r_s = rng.uniform(0.5, 1.5), rng.uniform(0.3, 1.0)
+    half_c, half_s = rng.uniform(0.3, 1.4), rng.uniform(1.6, 2.8)
+    cx = rng.uniform(0.5, 1.5)
+    tol = 10.0 ** rng.uniform(-5, -2)
+    arcs = [(cx, r_s, -half_s, half_s), (0.0, r_c, 0.5 * np.pi - half_c,
+                                         0.5 * np.pi + half_c),
+            (-cx, r_s, np.pi - half_s, np.pi + half_s),
+            (0.0, r_c, 1.5 * np.pi - half_c, 1.5 * np.pi + half_c)]
+    return np.vstack([arc_points(x, 0.0, r, start, end, tol)[:-1]
+                      for x, r, start, end in arcs])
+
+
+class TestKeptFrame:
+    # the unit-scaled frame and the shoelace are computed once per
+    # Polygon and kept; every answer equals that of a fresh computation
+    OCTAGON = [(50.0 * math.cos(t), 50.0 * math.sin(t))
+               for t in np.arange(8) * np.pi / 4]
+
+    @pytest.mark.parametrize("clockwise, computed", [(False, 1), (True, 2)])
+    def test_compare_measures_the_outline_once(self, tmp_path, capsys,
+                                               clockwise, computed):
+        # a clockwise file is measured again as its reversed copy
+        from crosssec import cli
+        rows = self.OCTAGON[::-1] if clockwise else self.OCTAGON
+        path = tmp_path / "outline.csv"
+        path.write_text("".join(f"{x!r},{y!r}\n" for x, y in rows),
+                        encoding="utf-8")
+        with mock.patch.object(polygon, "_unit_frame",
+                               wraps=polygon._unit_frame) as frame, \
+                mock.patch.object(polygon, "_shoelace",
+                                  wraps=polygon._shoelace) as shoelace:
+            code = cli.main(["compare", "--outline", str(path),
+                             "--sc", "152", "--ss", "127", "--l", "76.2"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert '"area_ratio"' in out
+        # the model's sampled side channels have far more than 8 vertices
+        for helper in (frame, shoelace):
+            sizes = [len(call.args[0]) for call in helper.call_args_list]
+            assert sizes.count(len(self.OCTAGON)) == computed
+
+    @pytest.mark.parametrize("points", [
+        OCTAGON, OCTAGON[::-1], [(0, 0), (2, 2), (2, 0), (0, 2)],
+        [(1e308, 1e308), (-1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)],
+    ])
+    def test_repeated_calls_match_a_fresh_polygon(self, points):
+        kept = Polygon(points)
+
+        def answers(poly):
+            try:
+                area = poly.signed_area(), poly.area()
+            except DegeneratePolygon as exc:
+                area = str(exc)
+            return area, poly.is_simple()
+
+        first = answers(kept)
+        assert answers(kept) == first
+        assert answers(kept) == answers(Polygon(points))
+
+    def test_points_cannot_be_rebound(self):
+        poly = Polygon(self.OCTAGON)
+        with pytest.raises(AttributeError):
+            poly.points = np.zeros((3, 2))
+
+    def test_signed_area_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        for trial in range(2000):
+            points = section_like_outline(rng)
+            if trial % 2:
+                points = points[::-1]
+            scale = 10.0 ** rng.uniform(-6, 6)
+            offset = 0.0 if trial % 5 == 0 else 10.0 ** rng.uniform(0, 12)
+            poly = Polygon(offset + scale * points)
+            expected = reference_signed_area(poly.points)
+            assert poly.signed_area().hex() == expected.hex()
+            assert poly.signed_area().hex() == expected.hex()

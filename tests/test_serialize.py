@@ -367,9 +367,10 @@ _CELL = st.one_of(_NUMBER, st.sampled_from([
     "x_mm", "y_mm", "", " ", " 7 ", "1_0", "1__0", "nan", "-inf", "inf",
     "1e400", "-1e400", "1e-400", "\u0663", "\u0661\u0662.5", "0x10", "+.5",
     "1e", '"3"', '"4,5"', '"6\n7"', '"', 'a"b', "\t8", "9\x00", "5\r",
-    "\r6"]))
+    "\r6", ",", "0,", "\u00e9"]))
 _PAIR = st.tuples(_NUMBER, _NUMBER).map(",".join)
-_ODD_ROW = st.one_of(st.sampled_from(["x_mm,y_mm", "x", "x,y,z", "", " "]),
+_ODD_ROW = st.one_of(st.sampled_from(["x_mm,y_mm", "x", "x,y,z", "", " ", ",",
+                                      "0,", "\u00e9"]),
                      st.lists(_CELL, min_size=1, max_size=3).map(",".join))
 _ODD_END = st.sampled_from(["\r\n", "\r", "\n\n", "\n \n", "\r\n\r\n"])
 
@@ -411,6 +412,19 @@ class TestOutlineDifferential:
     @example(text="x_mm,y_mm\n0,0\n\n1,0\n0,1")
     @example(text="0,0\n1_0,0\n\u0663,\u0661\n")
     @example(text="0,0\n9\x00,1\n1,0\n0,1\n")
+    # multi-byte UTF-8 next to a comma or a line feed
+    @example(text="\u00e9,1\n0,0\n1,0\n0,1\n")
+    @example(text="0,0\n1,0\n0,\u00e9\n")
+    @example(text="\u0663,\u0661\n0,0\n1,0\n")
+    @example(text="0,0\n1,0\n\u0663,\u0661\n")
+    # empty cells, and a row that is only a comma
+    @example(text=",\n0,0\n1,0\n0,1\n")
+    @example(text="0,0\n,\n1,0\n0,1\n")
+    @example(text="0,0\n1,0\n0,\n")
+    @example(text=",0\n0,0\n1,0\n0,1\n")
+    @example(text="\n0,0\n1,0\n0,1\n")
+    @example(text="0,0\n1,0,,\n0,1\n1,1\n")
+    @example(text="0,0\r\n1,0\n0,1\r\n")
     def test_reader_matches_row_reader(self, tmp_path_factory, text):
         # the same points to the byte, or the same error and message
         path = tmp_path_factory.getbasetemp() / "differential.csv"
