@@ -215,8 +215,7 @@ def oracle_to_dict(arc_length: float, strip_width: float, grid_points: int,
         "theta_root_rad": result.analytic_root,
         "theta_parabolic_rad": result.parabolic_argmax,
         "A_c_at_argmax_mm2": result.area_at_argmax,
-        "agreement": abs(result.grid_argmax - result.analytic_root)
-                     <= result.grid_step,
+        "agreement": result.agreement,
     }
 
 

@@ -33,8 +33,8 @@ _GRID_EPS = 1e-6
 #: (tests/test_solver.py::TestStepCount).
 _MAX_STEPS = 200
 
-#: Largest oracle grid; a scan costs about 35 ns per point on one CPU and
-#: about 20 ns on two (2-CPU Xeon VM), so this one takes 2 to 4 s.
+#: Largest oracle grid; a scan costs about 8 ns per point on one CPU and
+#: about 5.5 ns on two (2-CPU Xeon VM), so this one takes 0.5 to 1 s.
 MAX_GRID_POINTS = 100_000_000
 
 
@@ -53,7 +53,9 @@ class OracleResult:
             guarantee applies to the raw grid value.
 
     Invariant on construction by :func:`area_max_oracle`:
-    ``|grid_argmax - analytic_root| <= grid_step``.
+    ``|grid_argmax - clamp(analytic_root)| <= grid_step``, the root clamped
+    to the grid's span ``[1e-6, 2*pi - 1e-6]``; a root inside it is not
+    moved.
     """
 
     grid_argmax: float
@@ -61,6 +63,13 @@ class OracleResult:
     area_at_argmax: float
     grid_step: float
     parabolic_argmax: float
+
+    @property
+    def agreement(self) -> bool:
+        """Whether the invariant above holds."""
+        nearest = min(max(self.analytic_root, _GRID_EPS),
+                      2.0 * math.pi - _GRID_EPS)
+        return abs(self.grid_argmax - nearest) <= self.grid_step
 
 
 def _newton(step, x: float, channel: str) -> float:
@@ -180,17 +189,24 @@ def area_max_oracle(arc_length: float, strip_width: float,
 
     Scans the center-area function on a uniform grid over
     (1e-6, 2*pi - 1e-6) rad and compares the raw grid argmax against the
-    analytic root.  The scan (:mod:`crosssec.kernels`) runs on one thread
-    per usable CPU (fewer on small grids), in chunks that share a fixed
-    budget of about 2 MB, so its memory grows neither with
+    analytic root, clamped to that span (a root below 1e-6 rad, from a
+    strip far wider than the arc, is compared with the first grid angle).
+    The scan (:mod:`crosssec.kernels`) bounds every chunk of the grid in
+    float32 and scans in float64 only the chunks that can hold the
+    maximum, scaled so that no area over- or underflows; the argmax is
+    bit for bit that of a float64 scan of the whole grid.  It runs on one
+    thread per usable CPU (fewer on small grids), in chunks that share a
+    fixed budget of about 2 MB, so its memory grows neither with
     ``grid_points`` nor with the CPU count.  Ties keep the smallest
-    angle, and the result is bit for bit the same on any number of CPUs.
+    angle, and the result is the same on any number of CPUs.
 
     Raises:
         ValueError: grid_points not an integer from 1000 to
-            MAX_GRID_POINTS, or bad scalars.
-        OracleMismatch: argmax farther than one grid step from the root;
-            indicates a bug, never a property of valid inputs.
+            MAX_GRID_POINTS, bad scalars, or an area at the argmax beyond
+            the float range.
+        OracleMismatch: argmax farther than one grid step from the
+            clamped root; indicates a bug, never a property of valid
+            inputs.
     """
     grid_points = check_number(grid_points, "grid_points", "integer")
     if grid_points < 1000:
@@ -215,14 +231,19 @@ def area_max_oracle(arc_length: float, strip_width: float,
             offset = 0.5 * step * (f_m - f_p) / denom
             if abs(offset) <= step:
                 parabolic = theta + offset
-    if abs(theta - root) > step:
-        raise OracleMismatch(
-            f"grid argmax {theta!r} vs analytic root {root!r} differ by "
-            f"{abs(theta - root):.3g} > grid step {step:.3g}")
-    return OracleResult(
+    result = OracleResult(
         grid_argmax=theta,
         analytic_root=root,
         area_at_argmax=center_area(arc_length, strip_width, theta),
         grid_step=step,
         parabolic_argmax=parabolic,
     )
+    if not result.agreement:
+        nearest = min(max(root, lo), hi)
+        raise OracleMismatch(
+            f"grid argmax {theta!r} vs analytic root {root!r} differ by "
+            f"{abs(theta - nearest):.3g} > grid step {step:.3g}")
+    if math.isinf(result.area_at_argmax):
+        raise ValueError("center area at the grid argmax overflows the "
+                         "float range")
+    return result

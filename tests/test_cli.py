@@ -534,6 +534,39 @@ class TestOracle:
         assert len(out.stderr.strip().splitlines()) == 1
         assert "grid_points <= 100000000 required" in out.stderr
 
+    def test_huge_arc_area_overflow_exit_1(self):
+        # S_c^2 overflows, so an unscaled scan ties every area at inf and
+        # picks the first angle; the scan is right, the area is not a float
+        out = run_cli("oracle", "--sc", "1e160", "--l", 1,
+                      "--grid-points", 1000)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.splitlines() == [
+            "crosssec: error: center area at the grid argmax overflows the "
+            "float range"]
+
+    def test_tiny_arc_finds_the_root(self):
+        # S_c^2 underflows to 0, which tied every area of an unscaled scan
+        out = run_cli("oracle", "--sc", "1e-170", "--l", 0,
+                      "--grid-points", 1000)
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(out.stdout)
+        assert doc["agreement"] is True
+        assert doc["theta_root_rad"] == pytest.approx(math.pi, rel=1e-8)
+        assert abs(doc["theta_argmax_rad"] - math.pi) \
+            <= doc["grid_step_rad"] * (1 + 1e-9)
+
+    def test_root_below_first_grid_angle(self):
+        # the root 2e-8 lies below the grid's first angle 1e-6 by more
+        # than a step; the argmax is that first angle
+        out = run_cli("oracle", "--sc", 1, "--l", "1e8",
+                      "--grid-points", 10_000_000)
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(out.stdout)
+        assert doc["agreement"] is True
+        assert doc["theta_argmax_rad"] == 1e-6
+        assert doc["theta_root_rad"] == pytest.approx(2e-8, rel=1e-6)
+
     def test_docs_job_stdout_frozen(self):
         # stdout of the whole-grid NumPy scan that the chunked kernel
         # replaced, captured byte for byte

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crosssec import kernels
 from crosssec._arcmath import center_area
@@ -77,6 +77,56 @@ def _expected_chunks(n, lo, hi):
     return collections.Counter(
         (lo + step * float(start), min(size, n - start))
         for start in range(0, n, size))
+
+
+def _record_passes(monkeypatch):
+    # wrap _area_chunk, counting its float32 (bound pass) and float64
+    # (exact pass) calls by first angle and length; keeps each bound maximum
+    bound, exact, maxima = (collections.Counter(), collections.Counter(),
+                            {})
+    lock = threading.Lock()
+    real = kernels._area_chunk
+
+    def recording(s, l, theta, out, tmp):
+        real(s, l, theta, out, tmp)
+        key = float(theta[0]), theta.size
+        with lock:
+            if theta.dtype == np.float32:
+                bound[key] += 1
+                maxima[key] = float(out.max())
+            else:
+                exact[key] += 1
+
+    monkeypatch.setattr(kernels, "_area_chunk", recording)
+    return bound, exact, maxima
+
+
+def _check_passes(bound, exact, maxima, arc, strip, n, lo, hi):
+    # every chunk is bounded exactly once or reaches below the floor, each
+    # bound is within BOUND_EPS (1 + rho) of the chunk's float64 maximum,
+    # and exactly the chunks the rule retains get one float64 scan
+    step = (hi - lo) / (n - 1)
+    size = _chunk_size(n)
+    rho = 2.0 * strip / arc
+    slack = 2.0 * kernels.BOUND_EPS * (1.0 + rho)
+    low, u = set(), {}
+    for start in range(0, n, size):
+        m = min(size, n - start)
+        theta = lo + step * np.arange(start, start + m)
+        if theta.min() < kernels.BOUND_FLOOR:
+            low.add(start)
+            continue
+        u[start] = maxima[float(np.float32(theta[0])), m]
+        exact_max = _area_grid(1.0, 0.5 * rho, theta).max()
+        assert abs(u[start] - exact_max) <= slack / 2
+    assert bound == collections.Counter(
+        (float(np.float32(lo + step * float(start))), min(size, n - start))
+        for start in u)
+    top = max(u.values())
+    kept = low | {start for start, v in u.items() if v + slack >= top}
+    assert exact == collections.Counter(
+        (lo + step * float(start), min(size, n - start)) for start in kept)
+    return kept
 
 
 def _scan_peak(n):
@@ -183,9 +233,10 @@ class TestChunkedScan:
 
     @pytest.mark.parametrize("n", [3 * CHUNK + 7, 10**6])
     def test_every_chunk_scanned_exactly_once(self, monkeypatch, n):
-        seen = _record_chunks(monkeypatch)
+        passes = _record_passes(monkeypatch)
         got = kernels.center_area_grid_argmax(152.0, 76.2, n, LO, HI)
-        assert seen == _expected_chunks(n, LO, HI)
+        kept = _check_passes(*passes, 152.0, 76.2, n, LO, HI)
+        assert len(kept) < len(_expected_chunks(n, LO, HI))
         assert got == reference_argmax(152.0, 76.2, n, LO, HI)
 
     def test_first_nan_wins_across_chunks(self, monkeypatch):
@@ -274,9 +325,9 @@ class TestHelperThreads:
         monkeypatch.setattr(kernels, "_workers", lambda: 4)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         n = 3 * CHUNK + 7
-        seen = _record_chunks(monkeypatch)
+        passes = _record_passes(monkeypatch)
         got = kernels.center_area_grid_argmax(152.0, 76.2, n, LO, HI)
-        assert seen == _expected_chunks(n, LO, HI)
+        _check_passes(*passes, 152.0, 76.2, n, LO, HI)
         assert got == reference_argmax(152.0, 76.2, n, LO, HI)
 
     def test_many_workers_claim_each_chunk_once(self, monkeypatch):
@@ -285,16 +336,84 @@ class TestHelperThreads:
         monkeypatch.setattr(kernels, "_workers", lambda: 8)
         monkeypatch.setattr(kernels, "CHUNK", 16)
         n = 20_000
-        seen = _record_chunks(monkeypatch)
+        passes = _record_passes(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             got = kernels.center_area_grid_argmax(152.0, 76.2, n, LO, HI)
         finally:
             sys.setswitchinterval(interval)
-        assert seen == _expected_chunks(n, LO, HI)
+        _check_passes(*passes, 152.0, 76.2, n, LO, HI)
         assert got == reference_argmax(152.0, 76.2, n, LO, HI)
 
     def test_memory_does_not_grow_with_workers(self, monkeypatch):
         monkeypatch.setattr(kernels, "_workers", lambda: 8)
         assert _scan_peak(4_000_000) < 4 * 2**20
+
+
+class TestBoundPass:
+    @settings(max_examples=60, deadline=None)
+    @example(rho=0.0, angles=[kernels.BOUND_FLOOR])
+    @example(rho=4.0, angles=[kernels.BOUND_FLOOR])
+    @example(rho=2.0**100, angles=[kernels.BOUND_FLOOR])
+    @given(rho=st.floats(0.0, 2.0**100),
+           angles=st.lists(st.floats(kernels.BOUND_FLOOR, 2.0 * math.pi,
+                                     exclude_max=True),
+                           min_size=1, max_size=64))
+    def test_float32_error_far_inside_the_bound(self, rho, angles):
+        # the float32 pass's error against the float64 area at s = 1, on
+        # the drawn angles and on a dense grid of [BOUND_FLOOR, 2 pi)
+        dense = np.linspace(kernels.BOUND_FLOOR, 2.0 * math.pi, 4097)[:-1]
+        theta = np.concatenate([angles, dense])
+        theta32 = theta.astype(np.float32)
+        got = np.empty_like(theta32)
+        kernels._area_chunk(1.0, 0.5 * rho, theta32, got,
+                            np.empty_like(theta32))
+        error = np.abs(got - _area_grid(1.0, 0.5 * rho, theta)).max()
+        assert error <= kernels.BOUND_EPS * (1.0 + rho) / 16
+
+    @pytest.mark.parametrize("arc,strip", [(1.0, 2.0**100),
+                                           (1.0, math.nan), (math.inf, 1.0)])
+    def test_unbounded_rho_scans_every_chunk_unscaled(self, monkeypatch,
+                                                       arc, strip):
+        # rho = 2 l / s of 2**101, NaN or from an infinite s: no float32
+        # pass, and the float64 pass scans every chunk at (s, l) as given
+        n = 3 * CHUNK + 7
+        bound, exact, _ = _record_passes(monkeypatch)
+        got = kernels.center_area_grid_argmax(arc, strip, n, LO, HI)
+        assert not bound
+        assert exact == _expected_chunks(n, LO, HI)
+        with np.errstate(invalid="ignore"):
+            want = reference_argmax(arc, strip, n, LO, HI)
+        assert got[:2] == want[:2]
+        assert got[2] == want[2] or math.isnan(got[2]) and math.isnan(want[2])
+
+    @settings(max_examples=80, deadline=None)
+    @example(arc=1e160, share=1e-160, n=1000, chunk=64)
+    @example(arc=1e-170, share=0.0, n=1000, chunk=64)
+    @given(arc=st.floats(1e-300, 1e300),
+           share=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+           n=st.integers(2, 2000), chunk=st.sampled_from([64, 1 << 16]))
+    def test_extreme_scales_match_scaled_reference(self, arc, share, n,
+                                                   chunk):
+        # (S_c, L) is scanned at S_c scaled into [0.5, 1) by 2**-k, and the
+        # area scaled back by 4**k; where the unscaled areas and both of
+        # their terms are normal (every area at least 2**54 times the
+        # smallest normal, on this grid), that is the unscaled scan itself
+        strip = arc * share
+        k = math.frexp(arc)[1]
+        saved = kernels.CHUNK
+        kernels.CHUNK = chunk
+        try:
+            got = kernels.center_area_grid_argmax(arc, strip, n, LO, HI)
+        finally:
+            kernels.CHUNK = saved
+        idx, theta, area = reference_argmax(
+            math.ldexp(arc, -k), math.ldexp(strip, -k), n, LO, HI)
+        with np.errstate(over="ignore"):
+            assert got == (idx, theta, float(np.ldexp(area, 2 * k)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = _area_grid(arc, strip, LO + (HI - LO) / (n - 1)
+                              * np.arange(n))
+        if np.all(np.isfinite(grid)) and grid.min() >= 2.0**-968:
+            assert got == reference_argmax(arc, strip, n, LO, HI)

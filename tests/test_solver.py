@@ -196,6 +196,26 @@ class TestAreaMaxOracle:
         with pytest.raises(ValueError, match="grid_points >= 1000"):
             area_max_oracle(152.0, 76.2, grid_points=10)
 
+    def test_root_below_first_grid_angle_agrees(self):
+        # the root 2 S_c / L = 2e-8 lies below the first grid angle, more
+        # than a step (6.3e-7) away; it is compared clamped to the grid
+        result = area_max_oracle(1.0, 1e8, grid_points=10_000_000)
+        assert result.analytic_root < 1e-6 - result.grid_step
+        assert result.grid_argmax == 1e-6
+        assert result.agreement
+
+    def test_agreement_clamps_only_outside_the_grid(self):
+        inside = OracleResult(1.0, 1.0 + 2e-3, 1.0, 1e-3, 1.0)
+        assert not inside.agreement
+        below = OracleResult(1e-6, 0.0, 1.0, 1e-9, 1e-6)
+        assert below.agreement
+        above = OracleResult(2.0 * math.pi - 1e-6, 7.0, 1.0, 1e-9, 0.0)
+        assert above.agreement
+
+    def test_area_overflow_at_argmax_raises_value_error(self):
+        with pytest.raises(ValueError, match="overflows the float range"):
+            area_max_oracle(1e160, 1.0, grid_points=1000)
+
     def test_result_is_frozen_record(self):
         result = area_max_oracle(10.0, 5.0, grid_points=1000)
         assert isinstance(result, OracleResult)
