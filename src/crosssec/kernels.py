@@ -1,21 +1,15 @@
 """Grid-scan kernel for the brute-force area-maximum oracle.
 
-Finds the maximum of the center-channel area (arc length ``s``, strip
-width ``l``) over the uniform grid ``lo + step * i``, ``step = (hi - lo) /
-(n - 1)``, in chunks through a few reused buffers, in two passes: a
-float32 pass bounds each chunk, and a float64 pass scans only the chunks
-that can hold the maximum (see :func:`center_area_grid_argmax`).  In the
-float64 pass every grid value goes through the same floating-point
-operations as a whole-grid evaluation of the formula, so the result
-depends neither on the chunk size nor on which thread scanned which chunk.
-
-A grid of at least two ``CHUNK``s is scanned by one worker per usable CPU
-(the calling thread and plain threads started per pass; NumPy's ufuncs
-release the GIL), capped so that each worker has a full ``CHUNK`` of the
-grid.  ``CHUNK`` is the budget shared by all workers: each scans chunks of
-``CHUNK // workers`` points through its own buffers and all share one
-read-only index ramp, so working memory stays about four ``CHUNK``
-float64 arrays (2 MB) whatever the grid size or worker count.
+Finds the maximum of the center-channel area over a uniform grid in two
+float64 passes: a coarse pass bounds each block of the grid by the areas
+at its ends and the area's curvature, and an exact pass scans the blocks
+that can hold the maximum, each grid value through the same operations as
+in a whole-grid evaluation (see :func:`center_area_grid_argmax`).  It runs
+on the calling thread plus one plain thread per further CPU (NumPy's
+ufuncs release the GIL) while each has a full ``CHUNK`` of kept points,
+so the oracle's grids start no thread.  Blocks have at most ``CHUNK //
+CPUs`` points, so the exact pass holds under four ``CHUNK`` float64 arrays
+(2 MB); the coarse pass holds a few arrays of one sample per block.
 """
 
 import math
@@ -26,18 +20,10 @@ import numpy as np
 
 from ._arcmath import SERIES_CUTOFF, series_area
 
-__all__ = ["BOUND_EPS", "BOUND_FLOOR", "CHUNK", "SERIES_CUTOFF",
-           "center_area_grid_argmax"]
+__all__ = ["CHUNK", "SERIES_CUTOFF", "center_area_grid_argmax"]
 
-#: Grid points scanned at once, summed over all workers; four float64
-#: buffers of this size stay in cache.
+#: Grid points scanned at once, summed over all workers.
 CHUNK = 1 << 16
-
-#: The float32 pass's error per unit of ``1 + |rho|``, at angles from
-#: ``BOUND_FLOOR`` up (see ``center_area_grid_argmax``).
-BOUND_EPS = 2.0 ** -12
-#: Angle (rad) below which a chunk is always scanned in float64.
-BOUND_FLOOR = 0.25
 
 
 def _workers():
@@ -63,24 +49,25 @@ def _area_chunk(s, l, theta, out, tmp):
     np.add(out, tmp, out=out)
 
 
-def _bound_chunks(claim, l, n, lo, step, index, found):
-    # Append ``(start, u)`` for each chunk ``claim()`` hands out: ``u`` is
-    # its float32 area maximum at s = 1, or inf below BOUND_FLOOR.
-    size = index.size
-    grid = np.empty(size)
-    theta, area, tmp = (np.empty(size, np.float32) for _ in range(3))
-    with np.errstate(all="ignore"):  # a non-finite bound keeps its chunk
-        for start in iter(claim, None):
-            m = min(size, n - start)
-            g, t = grid[:m], theta[:m]
-            np.add(index[:m], start, out=g)
-            np.multiply(step, g, out=g)
-            np.add(lo, g, out=t)  # the float64 grid value, rounded once
-            if min(g[0], g[-1]) < BOUND_FLOOR:
-                found.append((start, math.inf))
-                continue
-            _area_chunk(1.0, l, t, area[:m], tmp[:m])
-            found.append((start, float(area[:m].max())))
+def _kept_blocks(s, l, n, lo, step, size):
+    # The coarse pass: the starts of the blocks of ``size`` points that
+    # may hold the grid maximum (see center_area_grid_argmax).
+    ends = np.arange(0, n - 1 + size, size, dtype=np.float64)
+    ends[-1] = n - 1  # grid indices 0, B, 2B, ..., n - 1
+    theta = lo + step * ends
+    area = np.empty_like(theta)
+    a = np.arange((n + size - 1) // size)
+    b = np.minimum(a + 1, ends.size - 1)  # a one-point last block: a == b
+    with np.errstate(all="ignore"):  # a non-finite sample keeps its blocks
+        _area_chunk(s, l, theta, area, np.empty_like(theta))
+        small = theta < SERIES_CUTOFF
+        area[small] = series_area(s, l, theta[small])
+        h = np.abs(theta[b] - theta[a])
+        m = abs(s) * (abs(s) + abs(l)) / 12.0
+        bound = np.maximum(area[a], area[b]) + m * (h * h / 8.0 + 2.0 ** -26)
+        skip = ((bound < area.max()) & np.isfinite(bound)
+                & (np.minimum(theta[a], theta[b]) >= SERIES_CUTOFF))
+    return (np.flatnonzero(~skip) * size).tolist()
 
 
 def _scan_chunks(claim, s, l, n, lo, step, index, found):
@@ -147,45 +134,58 @@ def _run(scan, args, starts, workers):
 def center_area_grid_argmax(arc_length, strip_width, n, lo, hi):
     """Return ``(index, angle, area)`` of the grid maximum.
 
-    The grid is ``lo + i * (hi - lo) / (n - 1)`` for ``i`` in
-    ``range(n)``.  The result is that of ``numpy.argmax`` over the whole
-    grid on any worker count: ties keep the smallest index and a NaN area
-    wins.
+    The grid is ``lo + i * (hi - lo) / (n - 1)`` for ``i`` in ``range(n)``.
+    The result is that of ``numpy.argmax`` over the whole grid on any
+    worker count: ties keep the smallest index, a NaN area wins.  An
+    exception in any worker stops the scan and is raised here.
 
-    The float32 pass keeps each chunk's maximum ``u`` of ``g = A / s**2``
-    (``s = 1``, ``l = rho / 2``, ``rho = 2 l / s``).  For angles of at least
-    ``BOUND_FLOOR``, ``|g32 - A64 / s**2| <= BOUND_EPS * (1 + |rho|)``
-    (float32 rounding of the angle, a few ulp of float32 ``sin``, division
-    by ``theta**2 >= BOUND_FLOOR**2``), so every float64 area of a chunk
-    with ``u + 2 BOUND_EPS (1 + |rho|) < max u`` lies strictly below the
-    one at the top bound.  The float64 pass scans only the other chunks
-    (within that slack, reaching below the floor, or with a non-finite
-    bound) at ``(s, l)`` scaled by the power of two ``2**-k`` that brings
-    ``s`` into [0.5, 1).  Every area scales by exactly ``4**-k``, so none
-    over- or underflows on its way to the argmax; the area returned is
-    scaled back (inf on overflow).  When ``rho`` is NaN or above
-    ``2**100``, or ``s`` is 0 or not finite, it scans every chunk,
-    unscaled.  An exception in any worker stops the scan and is raised
-    here.
+    Both passes take ``(s, l)`` scaled by the power of two ``2**-k`` that
+    brings ``s`` into [0.5, 1): every area scales by exactly ``4**-k``, so
+    none over- or underflows; the area returned is scaled back (inf on
+    overflow).  Blocks have ``B`` points, the largest power of two up to
+    ``sqrt(n)`` and ``CHUNK // CPUs``.  The coarse pass evaluates grid
+    indices ``0, B, 2B, ..., n - 1``; the exact pass scans each block whose
+    bound is at least the top sample or not finite (a NaN sample keeps
+    all), or that reaches below ``SERIES_CUTOFF``.
+
+    The bound: ``a(t) = (t - sin t) / t**2 = int_0^1 (1 - x) sin(t x) dx``
+    and ``b(t) = sin(t / 2) / t = int_0^1 cos(t x / 2) dx / 2``, so
+    ``|a''| <= int_0^1 (1 - x) x**2 dx = 1/12`` and ``|b''| <= 1/24`` for
+    all real ``t``, and ``A = s**2 a + 2 s l b`` has ``|A''| <= M = |s|
+    (|s| + |l|) / 12``.  The grid is monotone, so a block's angles lie
+    between its end angles ``ta``, ``tb``, where ``A`` is at most ``M h**2
+    / 8`` (``h = |tb - ta|``) above its chord.  From the cutoff up,
+    ``_area_chunk`` is within ``E = 2**-28 M`` of ``A``: with ``sin``
+    within ``2**-48 |sin t|`` (16 ulp; NumPy's is within 1), ``t - sin t``
+    is within ``2**-47 t``, ``a`` within ``2**-47 / t + 2**-51 < 2**-33``
+    (``t >= 1e-4``), ``s**2 a`` within ``2**-32 s**2 / 3``, ``2 s l b``
+    within ``2**-47 |s l|`` (``sin``, a quotient, two products; ``|b| <=
+    1/2``) and their sum within ``2**-32 (s**2 + |s l|) < E``.  So a
+    block's areas lie below ``max(a, b) + M h**2 / 8 + 2 E`` for its
+    computed end areas ``a``, ``b``.  The bound adds ``4 E = 2**-26 M``;
+    its rounding costs under ``2**-49 (12 M + M h**2 / 8 + M) < 2 E`` while
+    ``h < 2**10``, and a wider block's bound exceeds all its areas (``|A|
+    < 12 M``).  The top sample is the exact pass's area at its index, so a
+    skipped block holds neither the maximum nor a tie of it.
+
+    When ``rho = 2 l / s`` is NaN or above ``2**100``, or ``s`` is 0 or
+    not finite, all blocks (``CHUNK // CPUs`` points) are scanned unscaled.
     """
     if n < 2:
         raise ValueError("grid needs at least 2 points")
     step = (hi - lo) / (n - 1)
-    workers = max(1, min(_workers(), n // CHUNK))
-    index = np.arange(min(n, max(1, CHUNK // workers)), dtype=np.float64)
-    starts = range(0, n, index.size)
+    cpus = _workers()
+    size = max(1, min(n, CHUNK // cpus))
+    starts = range(0, n, size)
     s, l, k = arc_length, strip_width, 0
     rho = float(2.0 * (l / s)) if s and math.isfinite(s) else math.nan
     if abs(rho) <= 2.0 ** 100:
         k = math.frexp(s)[1]
         s, l = math.ldexp(s, -k), math.ldexp(l, -k)
-        bounds = []
-        _run(_bound_chunks, (0.5 * rho, n, lo, step, index, bounds), starts,
-             workers)
-        top = max((u for _, u in bounds if math.isfinite(u)), default=-np.inf)
-        slack = 2.0 * BOUND_EPS * (1.0 + abs(rho))
-        starts = sorted(start for start, u in bounds
-                        if not math.isfinite(u) or u + slack >= top)
+        size = min(size, 1 << math.isqrt(n).bit_length() - 1)
+        starts = _kept_blocks(s, l, n, lo, step, size)
+    workers = max(1, min(cpus, len(starts) * size // CHUNK))
+    index = np.arange(size, dtype=np.float64)
     found = []
     _run(_scan_chunks, (s, l, n, lo, step, index, found), starts, workers)
     best_i, best = 0, -np.inf

@@ -33,8 +33,10 @@ _GRID_EPS = 1e-6
 #: (tests/test_solver.py::TestStepCount).
 _MAX_STEPS = 200
 
-#: Largest oracle grid; a scan costs about 8 ns per point on one CPU and
-#: about 5.5 ns on two (2-CPU Xeon VM), so this one takes 0.5 to 1 s.
+#: Largest oracle grid.  The scan evaluates a few blocks of about
+#: sqrt(grid_points) angles, so this one takes about 2 ms; with L / S_c
+#: above 2**99 it scans every angle, 1.4 s on two CPUs and 2.4 to 2.9 s
+#: on one (2-CPU Xeon VM).
 MAX_GRID_POINTS = 100_000_000
 
 
@@ -191,14 +193,16 @@ def area_max_oracle(arc_length: float, strip_width: float,
     (1e-6, 2*pi - 1e-6) rad and compares the raw grid argmax against the
     analytic root, clamped to that span (a root below 1e-6 rad, from a
     strip far wider than the arc, is compared with the first grid angle).
-    The scan (:mod:`crosssec.kernels`) bounds every chunk of the grid in
-    float32 and scans in float64 only the chunks that can hold the
+    The scan (:mod:`crosssec.kernels`) evaluates the area at the ends of
+    blocks of about ``sqrt(grid_points)`` angles, bounds each block by the
+    area's curvature, and scans only the few blocks that can hold the
     maximum, scaled so that no area over- or underflows; the argmax is
-    bit for bit that of a float64 scan of the whole grid.  It runs on one
-    thread per usable CPU (fewer on small grids), in chunks that share a
-    fixed budget of about 2 MB, so its memory grows neither with
-    ``grid_points`` nor with the CPU count.  Ties keep the smallest
-    angle, and the result is the same on any number of CPUs.
+    bit for bit that of a float64 scan of the whole grid.  When ``L /
+    S_c`` is above ``2**99`` it scans the whole grid, unscaled.  It
+    starts one thread per further usable CPU only when the scanned
+    blocks hold at least ``2**17`` angles, and its buffers share a fixed
+    budget of about 2 MB.  Ties keep the smallest angle, and the result
+    is the same on any number of CPUs.
 
     Raises:
         ValueError: grid_points not an integer from 1000 to

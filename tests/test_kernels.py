@@ -46,87 +46,88 @@ def reference_argmax(arc_length, strip_width, n, lo, hi):
     return i, lo + step * i, float(area[i])
 
 
-def _chunk_size(n):
-    # one worker per CPU, each with at least one full CHUNK of the grid,
-    # sharing the CHUNK budget
-    workers = max(1, min(kernels._workers(), n // kernels.CHUNK))
-    return min(n, max(1, kernels.CHUNK // workers))
+def _block_size(n, coarse=True):
+    # at most CHUNK // CPUs points and, with a coarse pass, the largest
+    # power of two up to sqrt(n)
+    size = max(1, min(n, kernels.CHUNK // kernels._workers()))
+    return min(size, 1 << math.isqrt(n).bit_length() - 1) if coarse else size
 
 
-def _record_chunks(monkeypatch, hook=None):
-    # wrap _area_chunk, recording each chunk's first angle and length;
-    # ``hook(theta, out)`` runs after the real evaluation
-    seen = collections.Counter()
+_SCAN = kernels._scan_chunks.__code__
+
+
+def _record_passes(monkeypatch, hook=None):
+    # wrap _area_chunk, counting coarse-pass samples by angle and exact
+    # (_scan_chunks) calls by first angle and length; ``hook(theta, out,
+    # exact)`` runs after the real evaluation
+    coarse, exact = collections.Counter(), collections.Counter()
     lock = threading.Lock()
     real = kernels._area_chunk
 
     def recording(s, l, theta, out, tmp):
         real(s, l, theta, out, tmp)
+        in_scan = sys._getframe(1).f_code is _SCAN
         with lock:
-            seen[float(theta[0]), theta.size] += 1
-        if hook is not None:
-            hook(theta, out)
-
-    monkeypatch.setattr(kernels, "_area_chunk", recording)
-    return seen
-
-
-def _expected_chunks(n, lo, hi):
-    step = (hi - lo) / (n - 1)
-    size = _chunk_size(n)
-    return collections.Counter(
-        (lo + step * float(start), min(size, n - start))
-        for start in range(0, n, size))
-
-
-def _record_passes(monkeypatch):
-    # wrap _area_chunk, counting its float32 (bound pass) and float64
-    # (exact pass) calls by first angle and length; keeps each bound maximum
-    bound, exact, maxima = (collections.Counter(), collections.Counter(),
-                            {})
-    lock = threading.Lock()
-    real = kernels._area_chunk
-
-    def recording(s, l, theta, out, tmp):
-        real(s, l, theta, out, tmp)
-        key = float(theta[0]), theta.size
-        with lock:
-            if theta.dtype == np.float32:
-                bound[key] += 1
-                maxima[key] = float(out.max())
+            if in_scan:
+                exact[float(theta[0]), theta.size] += 1
             else:
-                exact[key] += 1
+                coarse.update(theta.tolist())
+        if hook is not None:
+            hook(theta, out, in_scan)
 
     monkeypatch.setattr(kernels, "_area_chunk", recording)
-    return bound, exact, maxima
+    return coarse, exact
 
 
-def _check_passes(bound, exact, maxima, arc, strip, n, lo, hi):
-    # every chunk is bounded exactly once or reaches below the floor, each
-    # bound is within BOUND_EPS (1 + rho) of the chunk's float64 maximum,
-    # and exactly the chunks the rule retains get one float64 scan
+def _blocks(starts, n, lo, hi, size):
+    # the exact-pass calls that scanning the blocks at ``starts`` makes
     step = (hi - lo) / (n - 1)
-    size = _chunk_size(n)
-    rho = 2.0 * strip / arc
-    slack = 2.0 * kernels.BOUND_EPS * (1.0 + rho)
-    low, u = set(), {}
-    for start in range(0, n, size):
-        m = min(size, n - start)
-        theta = lo + step * np.arange(start, start + m)
-        if theta.min() < kernels.BOUND_FLOOR:
-            low.add(start)
-            continue
-        u[start] = maxima[float(np.float32(theta[0])), m]
-        exact_max = _area_grid(1.0, 0.5 * rho, theta).max()
-        assert abs(u[start] - exact_max) <= slack / 2
-    assert bound == collections.Counter(
-        (float(np.float32(lo + step * float(start))), min(size, n - start))
-        for start in u)
-    top = max(u.values())
-    kept = low | {start for start, v in u.items() if v + slack >= top}
-    assert exact == collections.Counter(
-        (lo + step * float(start), min(size, n - start)) for start in kept)
+    return collections.Counter(
+        (lo + step * float(start), min(size, n - start)) for start in starts)
+
+
+def _kept_starts(arc, strip, n, lo, hi):
+    # the blocks the curvature bound keeps, from the whole-grid formula:
+    # block [jB, (j + 1) B) with end angles ta, tb (h = |tb - ta|) is kept
+    # when max(A(ta), A(tb)) + M (h^2 / 8 + 2^-26), M = s (s + l) / 12, is
+    # at least the top end area or not finite, or an end is below the
+    # series cutoff; (s, l) scaled so that s lies in [0.5, 1)
+    size = _block_size(n)
+    step = (hi - lo) / (n - 1)
+    k = math.frexp(arc)[1]
+    s, l = math.ldexp(arc, -k), math.ldexp(strip, -k)
+    starts = np.arange(0, n, size)
+    ta = lo + step * starts.astype(np.float64)
+    tb = lo + step * np.minimum(starts + size, n - 1).astype(np.float64)
+    area_a, area_b = _area_grid(s, l, ta), _area_grid(s, l, tb)
+    h = abs(tb - ta)
+    bound = np.maximum(area_a, area_b) + s * (s + l) / 12.0 * (
+        h * h / 8.0 + 2.0 ** -26)
+    keep = ((bound >= max(area_a.max(), area_b.max())) | ~np.isfinite(bound)
+            | (np.minimum(ta, tb) < kernels.SERIES_CUTOFF))
+    return starts[keep].tolist()
+
+
+def _check_passes(coarse, exact, arc, strip, n, lo, hi):
+    # every block end (grid indices 0, B, 2B, ..., n - 1) is sampled exactly
+    # once, and exactly the blocks _kept_starts keeps get one exact scan
+    size = _block_size(n)
+    step = (hi - lo) / (n - 1)
+    ends = sorted(set(range(0, n, size)) | {n - 1})
+    assert coarse == collections.Counter(lo + step * float(i) for i in ends)
+    kept = _kept_starts(arc, strip, n, lo, hi)
+    assert exact == _blocks(kept, n, lo, hi, size)
     return kept
+
+
+def _scaled_reference(arc, strip, n, lo, hi):
+    # the whole-grid argmax at (S_c, L) scaled by 2**-k into [0.5, 1), with
+    # the area scaled back by 4**k
+    k = math.frexp(arc)[1]
+    idx, theta, area = reference_argmax(
+        math.ldexp(arc, -k), math.ldexp(strip, -k), n, lo, hi)
+    with np.errstate(over="ignore"):
+        return idx, theta, float(np.ldexp(area, 2 * k))
 
 
 def _scan_peak(n):
@@ -178,16 +179,22 @@ class TestChunkedScan:
 
     @pytest.mark.parametrize("n", [10_000, 3 * CHUNK + 7])
     @pytest.mark.parametrize("arc,strip", CASES)
-    def test_grid_straddling_series_cutoff(self, arc, strip, n):
+    def test_grid_straddling_series_cutoff(self, monkeypatch, arc, strip,
+                                           n):
+        # every block reaching below the cutoff is scanned, the others only
+        # where the curvature bound keeps them
         lo, hi = 1e-7, 3e-4
         assert lo < kernels.SERIES_CUTOFF < hi
+        passes = _record_passes(monkeypatch)
         got = kernels.center_area_grid_argmax(arc, strip, n, lo, hi)
+        kept = _check_passes(*passes, arc, strip, n, lo, hi)
+        assert len(kept) < len(range(0, n, _block_size(n)))
         assert got == reference_argmax(arc, strip, n, lo, hi)
 
     def test_tie_across_chunk_boundary_keeps_first_index(self, monkeypatch):
         # a step of 1/5 ulp repeats each angle about five times, so the
         # maximum is a run of equal areas; with a 10-point budget that run
-        # crosses a chunk boundary at every worker count
+        # crosses a block boundary at every worker count
         arc, strip = 152.0, 76.2
         root = solve_center_arc_angle(arc, strip)
         lo = root - 8 * math.ulp(root)
@@ -199,7 +206,7 @@ class TestChunkedScan:
         area = _area_grid(arc, strip, lo + step * np.arange(n))
         ties = np.flatnonzero(area == want[2])
         assert ties[0] == want[0]
-        size = _chunk_size(n)
+        size = _block_size(n)
         assert ties[0] // size < ties[-1] // size
         assert kernels.center_area_grid_argmax(arc, strip, n, lo, hi) == want
 
@@ -236,24 +243,22 @@ class TestChunkedScan:
         passes = _record_passes(monkeypatch)
         got = kernels.center_area_grid_argmax(152.0, 76.2, n, LO, HI)
         kept = _check_passes(*passes, 152.0, 76.2, n, LO, HI)
-        assert len(kept) < len(_expected_chunks(n, LO, HI))
+        assert len(kept) < len(range(0, n, _block_size(n)))
         assert got == reference_argmax(152.0, 76.2, n, LO, HI)
 
     def test_first_nan_wins_across_chunks(self, monkeypatch):
-        # NaN areas at grid points 57 and 123, in different chunks; the
-        # step is 1/64, so each chunk's first index is exact
+        # NaN areas at grid points 57, 123 and 199, in different blocks,
+        # in both passes; 199 is the last grid point, a coarse sample, so
+        # every block is scanned; the step is 1/64, so each index is exact
         n, lo = 200, 1.0
         hi = lo + (n - 1) / 64
-        nan_at = (57, 123)
+        nan_at = (57, 123, 199)
 
-        def poison(theta, out):
-            first = int((theta[0] - lo) * 64)
-            for k in nan_at:
-                if first <= k < first + theta.size:
-                    out[k - first] = math.nan
+        def poison(theta, out, exact):
+            out[np.isin((theta - lo) * 64, nan_at)] = math.nan
 
         monkeypatch.setattr(kernels, "CHUNK", 10)
-        _record_chunks(monkeypatch, poison)
+        _record_passes(monkeypatch, poison)
         step = (hi - lo) / (n - 1)
         area = _area_grid(5.0, 4.9, lo + step * np.arange(n))
         area[list(nan_at)] = math.nan
@@ -264,12 +269,12 @@ class TestChunkedScan:
 
     def test_exception_in_a_chunk_reaches_the_caller(self, monkeypatch,
                                                      capsys):
-        def fail(theta, out):
-            if theta[0] > 3.0:
+        def fail(theta, out, exact):
+            if exact and theta[0] > 3.0:
                 raise RuntimeError("chunk failed")
 
         monkeypatch.setattr(kernels, "CHUNK", 64)
-        _record_chunks(monkeypatch, fail)
+        _record_passes(monkeypatch, fail)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk failed"):
             kernels.center_area_grid_argmax(1.0, 0.0, 5000, LO, HI)
@@ -279,12 +284,12 @@ class TestChunkedScan:
 
 @pytest.mark.usefixtures("forced_workers")
 class TestGridArgmaxForcedWorkers(TestGridArgmax):
-    """TestGridArgmax again at each forced worker count, with a small
-    CHUNK so that its 50 000-point grids are scanned by every worker."""
+    """TestGridArgmax again at each forced worker count, with a CHUNK so
+    small that the block size, at most CHUNK // workers, changes with it."""
 
     @pytest.fixture(autouse=True)
     def small_chunk(self, monkeypatch):
-        monkeypatch.setattr(kernels, "CHUNK", 1 << 12)
+        monkeypatch.setattr(kernels, "CHUNK", 1 << 6)
 
 
 @pytest.mark.usefixtures("forced_workers")
@@ -292,16 +297,27 @@ class TestChunkedScanForcedWorkers(TestChunkedScan):
     """TestChunkedScan again at each forced worker count."""
 
 
+def _narrow_grid(arc, strip, width):
+    # a grid of [root - width, root + width], where the slack of the
+    # bound keeps a share of the blocks that falls as the width grows
+    root = solve_center_arc_angle(arc, strip)
+    return root - width, root + width
+
+
 class TestHelperThreads:
     @pytest.mark.parametrize("workers", [2, 3, 5])
     def test_exception_in_a_helper_reaches_the_caller(self, monkeypatch,
                                                       capsys, workers):
-        # the calling thread holds its first chunk until a helper has
-        # failed, so a helper is sure to scan (and fail on) a chunk
+        # on a grid below the series cutoff every block is kept, so the
+        # exact pass calls for every worker; the calling thread holds its
+        # first block until a helper has failed, so a helper is sure to
+        # scan (and fail on) a block
         caller = threading.get_ident()
         failed = threading.Event()
 
-        def fail_off_caller(theta, out):
+        def fail_off_caller(theta, out, exact):
+            if not exact:
+                return
             if threading.get_ident() == caller:
                 assert failed.wait(timeout=10)
             else:
@@ -310,79 +326,188 @@ class TestHelperThreads:
 
         monkeypatch.setattr(kernels, "_workers", lambda: workers)
         monkeypatch.setattr(kernels, "CHUNK", 64)
-        _record_chunks(monkeypatch, fail_off_caller)
+        _record_passes(monkeypatch, fail_off_caller)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="helper failed"):
-            kernels.center_area_grid_argmax(152.0, 76.2, 5000, LO, HI)
+            kernels.center_area_grid_argmax(152.0, 76.2, 5000, 1e-7, 9e-5)
         assert failed.is_set()
         assert threading.active_count() == threads
         assert capsys.readouterr().err == ""
 
     def test_scan_completes_when_no_thread_can_start(self, monkeypatch):
+        # the narrow grid keeps about 40% of its blocks, enough points for
+        # four workers at this CHUNK; every thread start is refused
+        attempts = []
+
         def refuse(thread):
+            attempts.append(thread)
             raise RuntimeError("can't start new thread")
 
         monkeypatch.setattr(kernels, "_workers", lambda: 4)
+        monkeypatch.setattr(kernels, "CHUNK", 1 << 12)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         n = 3 * CHUNK + 7
+        lo, hi = _narrow_grid(152.0, 76.2, 5e-4)
         passes = _record_passes(monkeypatch)
-        got = kernels.center_area_grid_argmax(152.0, 76.2, n, LO, HI)
-        _check_passes(*passes, 152.0, 76.2, n, LO, HI)
-        assert got == reference_argmax(152.0, 76.2, n, LO, HI)
+        got = kernels.center_area_grid_argmax(152.0, 76.2, n, lo, hi)
+        kept = _check_passes(*passes, 152.0, 76.2, n, lo, hi)
+        assert len(kept) < len(range(0, n, _block_size(n)))
+        assert attempts
+        assert got == reference_argmax(152.0, 76.2, n, lo, hi)
 
     def test_many_workers_claim_each_chunk_once(self, monkeypatch):
         # more workers than CPUs and a short switch interval, so that
-        # claims interleave; a lost or doubled claim breaks the count
+        # claims interleave; a lost or doubled claim breaks the count; the
+        # narrow grid keeps about 40% of its 2-point blocks
         monkeypatch.setattr(kernels, "_workers", lambda: 8)
         monkeypatch.setattr(kernels, "CHUNK", 16)
         n = 20_000
+        lo, hi = _narrow_grid(152.0, 76.2, 5e-4)
         passes = _record_passes(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = kernels.center_area_grid_argmax(152.0, 76.2, n, LO, HI)
+            got = kernels.center_area_grid_argmax(152.0, 76.2, n, lo, hi)
         finally:
             sys.setswitchinterval(interval)
-        _check_passes(*passes, 152.0, 76.2, n, LO, HI)
-        assert got == reference_argmax(152.0, 76.2, n, LO, HI)
+        kept = _check_passes(*passes, 152.0, 76.2, n, lo, hi)
+        assert 8 * kernels.CHUNK <= len(kept) * _block_size(n) < n
+        assert got == reference_argmax(152.0, 76.2, n, lo, hi)
 
     def test_memory_does_not_grow_with_workers(self, monkeypatch):
         monkeypatch.setattr(kernels, "_workers", lambda: 8)
         assert _scan_peak(4_000_000) < 4 * 2**20
 
 
+class TestScanCost:
+    def test_oracle_grids_keep_under_one_percent_on_one_thread(
+            self, monkeypatch):
+        # 64 seeded (S_c, L) from acceptance criterion 1's domain, S_c in
+        # [1, 300] mm and L / S_c in [0, 2], on the oracle's 10^6-point grid
+        n = 10**6
+        rng = np.random.default_rng(17)
+        started = []
+        real_start = threading.Thread.start
+
+        def noting_start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", noting_start)
+        _, exact = _record_passes(monkeypatch)
+        for arc, share in zip(rng.uniform(1.0, 300.0, 64),
+                              rng.uniform(0.0, 2.0, 64)):
+            exact.clear()
+            kernels.center_area_grid_argmax(arc, arc * share, n, LO, HI)
+            assert 0 < sum(size * count for (_, size), count
+                           in exact.items()) <= n // 100
+        assert not started
+
+    def test_memory_at_the_largest_oracle_grid(self):
+        assert _scan_peak(10**8) < 4 * 2**20
+
+
 class TestBoundPass:
+    def test_curvature_limit(self):
+        # |A''| <= M = s (s + l) / 12 for A = s^2 a + 2 s l b, with a and b
+        # differentiated twice by mpmath at 40 digits, on a dense grid of
+        # [-4 pi, 4 pi] and near 0, where |b''| comes within 1e-25 of 1/24
+        mpmath = pytest.importorskip("mpmath")
+        near_zero = [sign * 10.0**-e for e in range(1, 13) for sign in (1, -1)]
+        pairs = [(1.0, 0.0), (0.5, 1e-3), (0.75, 1.0), (1.0, 2.0**99)]
+        with mpmath.workdps(40):
+            def a(t):
+                return (t - mpmath.sin(t)) / (t * t)
+
+            def b(t):
+                return mpmath.sin(t / 2) / t
+
+            for t in [*np.linspace(-4 * math.pi, 4 * math.pi, 801),
+                      *near_zero]:
+                t = mpmath.mpf(float(t))
+                d2a, d2b = mpmath.diff(a, t, 2), mpmath.diff(b, t, 2)
+                for s, l in pairs:
+                    s, l = mpmath.mpf(s), mpmath.mpf(l)
+                    assert abs(s * s * d2a + 2 * s * l * d2b) <= \
+                        s * (s + l) / 12, (t, s, l)
+
+    @settings(max_examples=40, deadline=None)
+    @example(s=0.5, rho=0.0, angles=[kernels.SERIES_CUTOFF])
+    @example(s=0.75, rho=4.0, angles=[kernels.SERIES_CUTOFF, 2.0 * math.pi])
+    @example(s=0.5, rho=2.0**100, angles=[kernels.SERIES_CUTOFF, 1e3])
+    @given(s=st.floats(0.5, 1.0, exclude_max=True),
+           rho=st.one_of(st.just(0.0), st.floats(2.0**-30, 2.0**100)),
+           angles=st.lists(st.floats(kernels.SERIES_CUTOFF, 1e3),
+                           min_size=1, max_size=16))
+    def test_float64_error_far_inside_the_slack(self, s, rho, angles):
+        # _area_chunk at the scale the kernel scans (s in [0.5, 1), l = s
+        # rho / 2) against a 40-digit area, from the series cutoff up:
+        # within E / 64, where E = 2**-28 M is the error the bound's slack
+        # allows each computed area
+        mpmath = pytest.importorskip("mpmath")
+        l = 0.5 * s * rho
+        theta = np.array(angles)
+        got = np.empty_like(theta)
+        kernels._area_chunk(s, l, theta, got, np.empty_like(theta))
+        allowed = 2.0**-28 * s * (s + l) / 12 / 64
+        with mpmath.workdps(40):
+            big_s = mpmath.mpf(s)
+            for t, area in zip(angles, got.tolist()):
+                t = mpmath.mpf(t)
+                exact = (big_s * big_s * (t - mpmath.sin(t)) / (t * t)
+                         + 2 * big_s * l * mpmath.sin(t / 2) / t)
+                assert abs(area - exact) <= allowed, (t, area)
+
     @settings(max_examples=60, deadline=None)
-    @example(rho=0.0, angles=[kernels.BOUND_FLOOR])
-    @example(rho=4.0, angles=[kernels.BOUND_FLOOR])
-    @example(rho=2.0**100, angles=[kernels.BOUND_FLOOR])
-    @given(rho=st.floats(0.0, 2.0**100),
-           angles=st.lists(st.floats(kernels.BOUND_FLOOR, 2.0 * math.pi,
-                                     exclude_max=True),
-                           min_size=1, max_size=64))
-    def test_float32_error_far_inside_the_bound(self, rho, angles):
-        # the float32 pass's error against the float64 area at s = 1, on
-        # the drawn angles and on a dense grid of [BOUND_FLOOR, 2 pi)
-        dense = np.linspace(kernels.BOUND_FLOOR, 2.0 * math.pi, 4097)[:-1]
-        theta = np.concatenate([angles, dense])
-        theta32 = theta.astype(np.float32)
-        got = np.empty_like(theta32)
-        kernels._area_chunk(1.0, 0.5 * rho, theta32, got,
-                            np.empty_like(theta32))
-        error = np.abs(got - _area_grid(1.0, 0.5 * rho, theta)).max()
-        assert error <= kernels.BOUND_EPS * (1.0 + rho) / 16
+    @example(arc=152.0, share=0.5, n=20_000, width=1e-12, down=False)
+    @example(arc=1.0, share=2.0**99, n=5000, width=1e-1, down=True)
+    @given(arc=st.floats(1e-3, 1e6),
+           share=st.one_of(st.just(0.0), st.floats(1e-4, 2.0**99)),
+           n=st.integers(2, 20_000), width=st.floats(1e-12, 1e-1),
+           down=st.booleans())
+    def test_narrow_grid_around_the_root(self, arc, share, n, width, down):
+        # rho = 2 L / S_c up to 2**100, on [root - width, root + width],
+        # either way round
+        lo, hi = _narrow_grid(arc, arc * share, width)
+        if down:
+            lo, hi = hi, lo
+        got = kernels.center_area_grid_argmax(arc, arc * share, n, lo, hi)
+        assert got == _scaled_reference(arc, arc * share, n, lo, hi)
+
+    @settings(max_examples=60, deadline=None)
+    @example(arc=152.0, share=0.5, n=10_000, lo=0.0, span=-2.0 * math.pi)
+    @example(arc=1.0, share=2.0**99, n=10_000, lo=2.0 * math.pi, span=50.0)
+    @given(arc=st.floats(1e-3, 1e6),
+           share=st.one_of(st.just(0.0), st.floats(1e-4, 2.0**99)),
+           n=st.integers(2, 20_000), lo=st.floats(-1.0, 20.0),
+           span=st.floats(-100.0, 100.0))
+    def test_wide_and_decreasing_grids(self, arc, share, n, lo, span):
+        # grids that run either way, past 2 pi or below the series cutoff
+        got = kernels.center_area_grid_argmax(arc, arc * share, n, lo,
+                                              lo + span)
+        assert got == _scaled_reference(arc, arc * share, n, lo, lo + span)
 
     @pytest.mark.parametrize("arc,strip", [(1.0, 2.0**100),
                                            (1.0, math.nan), (math.inf, 1.0)])
     def test_unbounded_rho_scans_every_chunk_unscaled(self, monkeypatch,
                                                        arc, strip):
-        # rho = 2 l / s of 2**101, NaN or from an infinite s: no float32
-        # pass, and the float64 pass scans every chunk at (s, l) as given
+        # rho = 2 l / s of 2**101, NaN or from an infinite s: no coarse
+        # pass, and the exact pass scans every block at (s, l) as given
         n = 3 * CHUNK + 7
-        bound, exact, _ = _record_passes(monkeypatch)
+        scanned_at = set()
+        real = kernels._area_chunk
+
+        def noting_scale(s, l, theta, out, tmp):
+            scanned_at.add((s, l))
+            real(s, l, theta, out, tmp)
+
+        monkeypatch.setattr(kernels, "_area_chunk", noting_scale)
+        coarse, exact = _record_passes(monkeypatch)
         got = kernels.center_area_grid_argmax(arc, strip, n, LO, HI)
-        assert not bound
-        assert exact == _expected_chunks(n, LO, HI)
+        assert not coarse
+        size = _block_size(n, coarse=False)
+        assert exact == _blocks(range(0, n, size), n, LO, HI, size)
+        assert scanned_at == {(arc, strip)}
         with np.errstate(invalid="ignore"):
             want = reference_argmax(arc, strip, n, LO, HI)
         assert got[:2] == want[:2]
@@ -401,17 +526,13 @@ class TestBoundPass:
         # their terms are normal (every area at least 2**54 times the
         # smallest normal, on this grid), that is the unscaled scan itself
         strip = arc * share
-        k = math.frexp(arc)[1]
         saved = kernels.CHUNK
         kernels.CHUNK = chunk
         try:
             got = kernels.center_area_grid_argmax(arc, strip, n, LO, HI)
         finally:
             kernels.CHUNK = saved
-        idx, theta, area = reference_argmax(
-            math.ldexp(arc, -k), math.ldexp(strip, -k), n, LO, HI)
-        with np.errstate(over="ignore"):
-            assert got == (idx, theta, float(np.ldexp(area, 2 * k)))
+        assert got == _scaled_reference(arc, strip, n, LO, HI)
         with np.errstate(over="ignore", invalid="ignore"):
             grid = _area_grid(arc, strip, LO + (HI - LO) / (n - 1)
                               * np.arange(n))
