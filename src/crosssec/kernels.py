@@ -1,17 +1,17 @@
 """Grid-scan kernel for the brute-force area-maximum oracle.
 
-Finds the maximum of the center-channel area over a uniform grid in two
-float64 passes: a coarse pass bounds each block of the grid by the areas
-at its ends and the area's curvature, and an exact pass scans the blocks
-that can hold the maximum, each grid value through the same operations as
-in a whole-grid evaluation (see :func:`center_area_grid_argmax`).  It runs
-on the calling thread plus one plain thread per further CPU (NumPy's
-ufuncs release the GIL) while each has a full ``CHUNK`` of kept points,
-so the oracle's grids start no thread.  Blocks have at most ``CHUNK //
-CPUs`` points, so the exact pass holds under four ``CHUNK`` float64 arrays
-(2 MB); the coarse pass holds a few arrays of one sample per block.
+Finds the maximum of the center-channel area over a uniform grid in
+float64: the angles below ``SERIES_CUTOFF`` whole, and above it only the
+blocks that two levels of a curvature bound keep, each grid value through
+the same operations as in a whole-grid scan (see
+:func:`center_area_grid_argmax`).  One plain thread per further CPU joins
+in (NumPy's ufuncs release the GIL) only while each has a full ``CHUNK``
+of kept points, so the oracle's grids start none.  Scans hold under four
+``CHUNK`` float64 arrays (2 MB), each level of the bound about ``CHUNK //
+8`` samples plus two per run.
 """
 
+import bisect
 import math
 import os
 import threading
@@ -49,36 +49,54 @@ def _area_chunk(s, l, theta, out, tmp):
     np.add(out, tmp, out=out)
 
 
-def _kept_blocks(s, l, n, lo, step, size):
-    # The coarse pass: the starts of the blocks of ``size`` points that
-    # may hold the grid maximum (see center_area_grid_argmax).
-    ends = np.arange(0, n - 1 + size, size, dtype=np.float64)
-    ends[-1] = n - 1  # grid indices 0, B, 2B, ..., n - 1
-    theta = lo + step * ends
-    area = np.empty_like(theta)
-    a = np.arange((n + size - 1) // size)
-    b = np.minimum(a + 1, ends.size - 1)  # a one-point last block: a == b
-    with np.errstate(all="ignore"):  # a non-finite sample keeps its blocks
-        _area_chunk(s, l, theta, area, np.empty_like(theta))
-        small = theta < SERIES_CUTOFF
-        area[small] = series_area(s, l, theta[small])
-        h = np.abs(theta[b] - theta[a])
-        m = abs(s) * (abs(s) + abs(l)) / 12.0
-        bound = np.maximum(area[a], area[b]) + m * (h * h / 8.0 + 2.0 ** -26)
-        skip = ((bound < area.max()) & np.isfinite(bound)
-                & (np.minimum(theta[a], theta[b]) >= SERIES_CUTOFF))
-    return (np.flatnonzero(~skip) * size).tolist()
+def _split(lo, step, n):
+    # (series, bounded): the monotone grid's index ranges below the cutoff
+    # (a prefix or a suffix) and from it up, bisected on its own arithmetic
+    first = lo + step * 0.0 < SERIES_CUTOFF
+    i = bisect.bisect_left(range(n), True, key=lambda j: first != (
+        lo + step * float(j) < SERIES_CUTOFF))
+    return ((0, i), (i, n)) if first else ((i, n), (0, i))
 
 
-def _scan_chunks(claim, s, l, n, lo, step, index, found):
-    # Scan the chunks ``claim()`` hands out, appending each chunk's
-    # ``(grid index, area)`` maximum to ``found``, through own buffers.
-    size = index.size
-    theta = np.empty(size)
-    area = np.empty(size)
-    tmp = np.empty(size)
-    for start in iter(claim, None):
-        m = min(size, n - start)
+def _join(runs):
+    # the sorted runs [start, stop) joined where they touch; empty ones go
+    joined = []
+    for start, stop in runs:
+        if joined and start <= joined[-1][1]:
+            joined[-1] = joined[-1][0], stop
+        elif start < stop:
+            joined.append((start, stop))
+    return joined
+
+
+def _refine(s, l, lo, step, runs, size, top):
+    # One level of the bound (see center_area_grid_argmax): the kept blocks
+    # between neighbouring samples of each run [a, b), taken every ``size``
+    # points and at b - 1, joined into runs; and the new top sample.
+    size = max(size, sum(b - a for a, b in runs) // (CHUNK // 8 or 1))
+    kept, m = [], abs(s) * (abs(s) + abs(l)) / 12.0
+    for a, b in runs:
+        i = np.arange(a, b - 1 + size, size, dtype=np.float64)
+        i[-1] = b - 1
+        theta = lo + step * i
+        area, tmp = np.empty((2, i.size))
+        with np.errstate(all="ignore"):  # a non-finite sample keeps blocks
+            _area_chunk(s, l, theta, area, tmp)
+            top = np.maximum(top, area.max())  # a NaN sample keeps all
+            h = np.abs(theta[1:] - theta[:-1])
+            bound = m * (h * h / 8.0 + 2.0 ** -26)
+            bound += np.maximum(area[:-1], area[1:])
+            keep = np.flatnonzero(~((bound < top) & np.isfinite(bound)))
+        kept += [(int(i[k]), int(i[k + 1]) + 1) for k in keep]
+    return _join(kept), top
+
+
+def _scan_chunks(claim, s, l, lo, step, index, found):
+    # Scan the pieces [start, stop) ``claim()`` hands out, appending each
+    # one's ``(grid index, area)`` maximum to ``found``, via own buffers.
+    theta, area, tmp = np.empty((3, index.size))
+    for start, stop in iter(claim, None):
+        m = stop - start
         t, a = theta[:m], area[:m]
         np.add(index[:m], start, out=t)
         np.multiply(step, t, out=t)
@@ -139,14 +157,17 @@ def center_area_grid_argmax(arc_length, strip_width, n, lo, hi):
     worker count: ties keep the smallest index, a NaN area wins.  An
     exception in any worker stops the scan and is raised here.
 
-    Both passes take ``(s, l)`` scaled by the power of two ``2**-k`` that
-    brings ``s`` into [0.5, 1): every area scales by exactly ``4**-k``, so
-    none over- or underflows; the area returned is scaled back (inf on
-    overflow).  Blocks have ``B`` points, the largest power of two up to
-    ``sqrt(n)`` and ``CHUNK // CPUs``.  The coarse pass evaluates grid
-    indices ``0, B, 2B, ..., n - 1``; the exact pass scans each block whose
-    bound is at least the top sample or not finite (a NaN sample keeps
-    all), or that reaches below ``SERIES_CUTOFF``.
+    Areas are computed at ``(s, l)`` scaled by the power of two ``2**-k``
+    that brings ``s`` into [0.5, 1), so none over- or underflows; the area
+    returned is scaled back by ``4**k`` (inf on overflow).  The angles
+    below ``SERIES_CUTOFF`` (a prefix or a suffix) are scanned whole, the
+    rest is one run.  Each of two levels samples its runs every ``B``
+    points and at their last, and keeps each block between neighbouring
+    samples whose bound is at least the top sample so far or not finite (a
+    NaN sample keeps all); the kept blocks, both samples included and
+    joined where they touch, are the next runs, and the last are scanned.
+    ``B`` is the largest power of two up to ``n**(2/3)``, then ``n**(1/3)``,
+    or the runs' points over ``CHUNK // 8`` if larger.
 
     The bound: ``a(t) = (t - sin t) / t**2 = int_0^1 (1 - x) sin(t x) dx``
     and ``b(t) = sin(t / 2) / t = int_0^1 cos(t x / 2) dx / 2``, so
@@ -169,25 +190,30 @@ def center_area_grid_argmax(arc_length, strip_width, n, lo, hi):
     skipped block holds neither the maximum nor a tie of it.
 
     When ``rho = 2 l / s`` is NaN or above ``2**100``, or ``s`` is 0 or
-    not finite, all blocks (``CHUNK // CPUs`` points) are scanned unscaled.
+    not finite, the exact pass scans the whole grid, unscaled.
     """
     if n < 2:
         raise ValueError("grid needs at least 2 points")
     step = (hi - lo) / (n - 1)
     cpus = _workers()
     size = max(1, min(n, CHUNK // cpus))
-    starts = range(0, n, size)
-    s, l, k = arc_length, strip_width, 0
+    s, l, k, runs = arc_length, strip_width, 0, [(0, n)]
     rho = float(2.0 * (l / s)) if s and math.isfinite(s) else math.nan
     if abs(rho) <= 2.0 ** 100:
         k = math.frexp(s)[1]
         s, l = math.ldexp(s, -k), math.ldexp(l, -k)
-        size = min(size, 1 << math.isqrt(n).bit_length() - 1)
-        starts = _kept_blocks(s, l, n, lo, step, size)
-    workers = max(1, min(cpus, len(starts) * size // CHUNK))
-    index = np.arange(size, dtype=np.float64)
+        series, bounded = _split(lo, step, n)
+        runs, top, third = [bounded], -np.inf, math.log2(n) / 3
+        for block in (1 << int(2 * third), 1 << int(third)):
+            if bounded[1] - bounded[0] > 1:  # else scanned whole
+                runs, top = _refine(s, l, lo, step, runs, block, top)
+        runs = _join(sorted([series, *runs]))
+    workers = max(1, min(cpus, sum(b - a for a, b in runs) // CHUNK))
+    pieces = ((i, min(i + size, b))
+              for a, b in runs for i in range(a, b, size))
+    index = np.arange(min(size, max(b - a for a, b in runs)), dtype=float)
     found = []
-    _run(_scan_chunks, (s, l, n, lo, step, index, found), starts, workers)
+    _run(_scan_chunks, (s, l, lo, step, index, found), pieces, workers)
     best_i, best = 0, -np.inf
     for i, value in sorted(found):
         if value != value:

@@ -33,10 +33,9 @@ _GRID_EPS = 1e-6
 #: (tests/test_solver.py::TestStepCount).
 _MAX_STEPS = 200
 
-#: Largest oracle grid.  The scan evaluates a few blocks of about
-#: sqrt(grid_points) angles, so this one takes about 2 ms; with L / S_c
-#: above 2**99 it scans every angle, 1.4 s on two CPUs and 2.4 to 2.9 s
-#: on one (2-CPU Xeon VM).
+#: Largest oracle grid.  The scan evaluates about 10**4 of its angles,
+#: in 0.25 ms; with L / S_c above 2**99 it scans every angle, 1.4 s on
+#: two CPUs and 2.4 to 2.9 s on one (2-CPU Xeon VM).
 MAX_GRID_POINTS = 100_000_000
 
 
@@ -193,11 +192,12 @@ def area_max_oracle(arc_length: float, strip_width: float,
     (1e-6, 2*pi - 1e-6) rad and compares the raw grid argmax against the
     analytic root, clamped to that span (a root below 1e-6 rad, from a
     strip far wider than the arc, is compared with the first grid angle).
-    The scan (:mod:`crosssec.kernels`) evaluates the area at the ends of
-    blocks of about ``sqrt(grid_points)`` angles, bounds each block by the
-    area's curvature, and scans only the few blocks that can hold the
-    maximum, scaled so that no area over- or underflows; the argmax is
-    bit for bit that of a float64 scan of the whole grid.  When ``L /
+    The scan (:mod:`crosssec.kernels`) takes the angles below 1e-4 rad
+    whole.  Above them it samples the area every ``grid_points**(2/3)``
+    or so angles, then every ``grid_points**(1/3)`` or so inside the
+    blocks that the area's curvature does not rule out, and scans only
+    the few blocks left, scaled so that no area over- or underflows; the argmax
+    is bit for bit that of a float64 scan of the whole grid.  When ``L /
     S_c`` is above ``2**99`` it scans the whole grid, unscaled.  It
     starts one thread per further usable CPU only when the scanned
     blocks hold at least ``2**17`` angles, and its buffers share a fixed
@@ -226,9 +226,9 @@ def area_max_oracle(arc_length: float, strip_width: float,
         arc_length, strip_width, grid_points, lo, hi)
     step = (hi - lo) / (grid_points - 1)
     parabolic = theta
+    f_0 = center_area(arc_length, strip_width, theta)
     if 0 < idx < grid_points - 1:
         f_m = center_area(arc_length, strip_width, theta - step)
-        f_0 = center_area(arc_length, strip_width, theta)
         f_p = center_area(arc_length, strip_width, theta + step)
         denom = f_m - 2.0 * f_0 + f_p
         if denom != 0.0:
@@ -238,7 +238,7 @@ def area_max_oracle(arc_length: float, strip_width: float,
     result = OracleResult(
         grid_argmax=theta,
         analytic_root=root,
-        area_at_argmax=center_area(arc_length, strip_width, theta),
+        area_at_argmax=f_0,
         grid_step=step,
         parabolic_argmax=parabolic,
     )

@@ -46,78 +46,115 @@ def reference_argmax(arc_length, strip_width, n, lo, hi):
     return i, lo + step * i, float(area[i])
 
 
-def _block_size(n, coarse=True):
-    # at most CHUNK // CPUs points and, with a coarse pass, the largest
-    # power of two up to sqrt(n)
-    size = max(1, min(n, kernels.CHUNK // kernels._workers()))
-    return min(size, 1 << math.isqrt(n).bit_length() - 1) if coarse else size
+def _piece_size(n):
+    # the exact pass scans at most CHUNK // CPUs points at a time
+    return max(1, min(n, kernels.CHUNK // kernels._workers()))
 
 
 _SCAN = kernels._scan_chunks.__code__
+_REFINE = kernels._refine.__code__
 
 
 def _record_passes(monkeypatch, hook=None):
-    # wrap _area_chunk, counting coarse-pass samples by angle and exact
-    # (_scan_chunks) calls by first angle and length; ``hook(theta, out,
-    # exact)`` runs after the real evaluation
-    coarse, exact = collections.Counter(), collections.Counter()
+    # wrap _area_chunk, counting bound samples (_refine calls) by angle and
+    # exact (_scan_chunks) calls by first angle and length; ``hook(theta,
+    # out, exact)`` runs after the real evaluation
+    bound, exact = collections.Counter(), collections.Counter()
     lock = threading.Lock()
     real = kernels._area_chunk
 
     def recording(s, l, theta, out, tmp):
         real(s, l, theta, out, tmp)
-        in_scan = sys._getframe(1).f_code is _SCAN
+        caller = sys._getframe(1).f_code
+        assert caller in (_SCAN, _REFINE)
         with lock:
-            if in_scan:
+            if caller is _SCAN:
                 exact[float(theta[0]), theta.size] += 1
             else:
-                coarse.update(theta.tolist())
+                bound.update(theta.tolist())
         if hook is not None:
-            hook(theta, out, in_scan)
+            hook(theta, out, caller is _SCAN)
 
     monkeypatch.setattr(kernels, "_area_chunk", recording)
-    return coarse, exact
+    return bound, exact
 
 
-def _blocks(starts, n, lo, hi, size):
-    # the exact-pass calls that scanning the blocks at ``starts`` makes
+def _pieces(runs, n, lo, hi):
+    # the exact-pass calls that scanning the runs [start, stop) makes
+    size = _piece_size(n)
     step = (hi - lo) / (n - 1)
     return collections.Counter(
-        (lo + step * float(start), min(size, n - start)) for start in starts)
+        (lo + step * float(i), min(size, stop - i))
+        for start, stop in runs for i in range(start, stop, size))
 
 
-def _kept_starts(arc, strip, n, lo, hi):
-    # the blocks the curvature bound keeps, from the whole-grid formula:
-    # block [jB, (j + 1) B) with end angles ta, tb (h = |tb - ta|) is kept
+def _joined(runs):
+    # the sorted runs [start, stop), those that touch joined, empty dropped
+    out = []
+    for start, stop in runs:
+        if out and start <= out[-1][1]:
+            out[-1] = out[-1][0], max(stop, out[-1][1])
+        elif start < stop:
+            out.append((start, stop))
+    return out
+
+
+def _two_levels(arc, strip, n, lo, hi):
+    # The scan's rule, restated on the whole-grid formula.  The angles
+    # below the series cutoff, a prefix or a suffix of the grid, form the
+    # series region, scanned whole; the rest is one run.  On each of two
+    # levels each run [a, b) is sampled at a, a + B, ..., b - 1, and the
+    # block between neighbouring samples ta, tb (h = |tb - ta|) is kept
     # when max(A(ta), A(tb)) + M (h^2 / 8 + 2^-26), M = s (s + l) / 12, is
-    # at least the top end area or not finite, or an end is below the
-    # series cutoff; (s, l) scaled so that s lies in [0.5, 1)
-    size = _block_size(n)
-    step = (hi - lo) / (n - 1)
+    # at least the top sample so far or not finite (a NaN top keeps all);
+    # the kept blocks, both samples included and joined, are the next
+    # level's runs.  B is the largest power of two up to n^(2/3), then
+    # n^(1/3), or the runs' points over CHUNK // 8 if larger; (s, l) are
+    # scaled so that s lies in [0.5, 1).  Returns the series region, the
+    # sampled angles (once per level) and the runs the exact pass scans.
     k = math.frexp(arc)[1]
     s, l = math.ldexp(arc, -k), math.ldexp(strip, -k)
-    starts = np.arange(0, n, size)
-    ta = lo + step * starts.astype(np.float64)
-    tb = lo + step * np.minimum(starts + size, n - 1).astype(np.float64)
-    area_a, area_b = _area_grid(s, l, ta), _area_grid(s, l, tb)
-    h = abs(tb - ta)
-    bound = np.maximum(area_a, area_b) + s * (s + l) / 12.0 * (
-        h * h / 8.0 + 2.0 ** -26)
-    keep = ((bound >= max(area_a.max(), area_b.max())) | ~np.isfinite(bound)
-            | (np.minimum(ta, tb) < kernels.SERIES_CUTOFF))
-    return starts[keep].tolist()
-
-
-def _check_passes(coarse, exact, arc, strip, n, lo, hi):
-    # every block end (grid indices 0, B, 2B, ..., n - 1) is sampled exactly
-    # once, and exactly the blocks _kept_starts keeps get one exact scan
-    size = _block_size(n)
     step = (hi - lo) / (n - 1)
-    ends = sorted(set(range(0, n, size)) | {n - 1})
-    assert coarse == collections.Counter(lo + step * float(i) for i in ends)
-    kept = _kept_starts(arc, strip, n, lo, hi)
-    assert exact == _blocks(kept, n, lo, hi, size)
-    return kept
+    theta = lo + step * np.arange(n, dtype=np.float64)
+    below = np.flatnonzero(theta < kernels.SERIES_CUTOFF)
+    series = (int(below[0]), int(below[-1]) + 1) if below.size else (0, 0)
+    assert below.size == series[1] - series[0]
+    assert series[0] == 0 or series[1] == n
+    bounded = (series[1], n) if series[0] == 0 else (0, series[0])
+    samples, runs, top = [], [bounded], -math.inf
+    if bounded[1] - bounded[0] > 1:
+        third = math.log2(n) / 3
+        for block in (1 << int(2 * third), 1 << int(third)):
+            size = max(block, sum(b - a for a, b in runs)
+                       // max(1, kernels.CHUNK // 8))
+            kept = []
+            for a, b in runs:
+                at = [*range(a, b - 1, size), b - 1]
+                area = _area_grid(s, l, theta[at])
+                samples += theta[at].tolist()
+                top = np.max([top, *area])
+                h = np.abs(np.diff(theta[at]))
+                bound = np.maximum(area[:-1], area[1:]) + s * (s + l) / 12 * (
+                    h * h / 8 + 2.0**-26)
+                keep = (bound >= top) | ~np.isfinite(bound) | np.isnan(top)
+                kept += [(at[j], at[j + 1] + 1) for j in np.flatnonzero(keep)]
+            runs = _joined(kept)
+    return series, samples, _joined(sorted([series, *runs]))
+
+
+def _check_passes(bound, exact, arc, strip, n, lo, hi):
+    # every sample of each level is evaluated exactly once, exactly the
+    # runs _two_levels keeps get one exact scan, in pieces of CHUNK // CPUs
+    # points, those runs are disjoint and hold the series region (so it is
+    # scanned exactly once), and something is skipped
+    series, samples, runs = _two_levels(arc, strip, n, lo, hi)
+    assert bound == collections.Counter(samples)
+    assert exact == _pieces(runs, n, lo, hi)
+    assert all(b < c for (_, b), (c, _) in zip(runs, runs[1:]))
+    assert series[0] == series[1] or any(
+        a <= series[0] and series[1] <= b for a, b in runs)
+    assert sum(b - a for a, b in runs) < n
+    return runs
 
 
 def _scaled_reference(arc, strip, n, lo, hi):
@@ -130,10 +167,10 @@ def _scaled_reference(arc, strip, n, lo, hi):
         return idx, theta, float(np.ldexp(area, 2 * k))
 
 
-def _scan_peak(n):
+def _scan_peak(n, lo=LO, hi=HI):
     tracemalloc.start()
     try:
-        kernels.center_area_grid_argmax(152.0, 76.2, n, LO, HI)
+        kernels.center_area_grid_argmax(152.0, 76.2, n, lo, hi)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -181,20 +218,20 @@ class TestChunkedScan:
     @pytest.mark.parametrize("arc,strip", CASES)
     def test_grid_straddling_series_cutoff(self, monkeypatch, arc, strip,
                                            n):
-        # every block reaching below the cutoff is scanned, the others only
-        # where the curvature bound keeps them
+        # the series region, a third of the grid, is scanned whole, the
+        # rest only where the two levels of the bound keep it
         lo, hi = 1e-7, 3e-4
         assert lo < kernels.SERIES_CUTOFF < hi
         passes = _record_passes(monkeypatch)
         got = kernels.center_area_grid_argmax(arc, strip, n, lo, hi)
-        kept = _check_passes(*passes, arc, strip, n, lo, hi)
-        assert len(kept) < len(range(0, n, _block_size(n)))
+        _check_passes(*passes, arc, strip, n, lo, hi)
         assert got == reference_argmax(arc, strip, n, lo, hi)
 
     def test_tie_across_chunk_boundary_keeps_first_index(self, monkeypatch):
         # a step of 1/5 ulp repeats each angle about five times, so the
-        # maximum is a run of equal areas; with a 10-point budget that run
-        # crosses a block boundary at every worker count
+        # maximum is a run of equal areas; the bound keeps the whole grid,
+        # and with a 10-point budget that run crosses a piece boundary at
+        # every worker count
         arc, strip = 152.0, 76.2
         root = solve_center_arc_angle(arc, strip)
         lo = root - 8 * math.ulp(root)
@@ -206,7 +243,8 @@ class TestChunkedScan:
         area = _area_grid(arc, strip, lo + step * np.arange(n))
         ties = np.flatnonzero(area == want[2])
         assert ties[0] == want[0]
-        size = _block_size(n)
+        assert _two_levels(arc, strip, n, lo, hi)[2] == [(0, n)]
+        size = _piece_size(n)
         assert ties[0] // size < ties[-1] // size
         assert kernels.center_area_grid_argmax(arc, strip, n, lo, hi) == want
 
@@ -242,14 +280,14 @@ class TestChunkedScan:
     def test_every_chunk_scanned_exactly_once(self, monkeypatch, n):
         passes = _record_passes(monkeypatch)
         got = kernels.center_area_grid_argmax(152.0, 76.2, n, LO, HI)
-        kept = _check_passes(*passes, 152.0, 76.2, n, LO, HI)
-        assert len(kept) < len(range(0, n, _block_size(n)))
+        _check_passes(*passes, 152.0, 76.2, n, LO, HI)
         assert got == reference_argmax(152.0, 76.2, n, LO, HI)
 
     def test_first_nan_wins_across_chunks(self, monkeypatch):
-        # NaN areas at grid points 57, 123 and 199, in different blocks,
-        # in both passes; 199 is the last grid point, a coarse sample, so
-        # every block is scanned; the step is 1/64, so each index is exact
+        # NaN areas at grid points 57, 123 and 199, in different pieces,
+        # in the bound and the exact pass; 199 is the last grid point, a
+        # sample on both levels, so the whole grid is scanned; the step is
+        # 1/64, so each index is exact
         n, lo = 200, 1.0
         hi = lo + (n - 1) / 64
         nan_at = (57, 123, 199)
@@ -335,7 +373,7 @@ class TestHelperThreads:
         assert capsys.readouterr().err == ""
 
     def test_scan_completes_when_no_thread_can_start(self, monkeypatch):
-        # the narrow grid keeps about 40% of its blocks, enough points for
+        # the bound keeps about 40% of the narrow grid, enough points for
         # four workers at this CHUNK; every thread start is refused
         attempts = []
 
@@ -350,17 +388,17 @@ class TestHelperThreads:
         lo, hi = _narrow_grid(152.0, 76.2, 5e-4)
         passes = _record_passes(monkeypatch)
         got = kernels.center_area_grid_argmax(152.0, 76.2, n, lo, hi)
-        kept = _check_passes(*passes, 152.0, 76.2, n, lo, hi)
-        assert len(kept) < len(range(0, n, _block_size(n)))
+        runs = _check_passes(*passes, 152.0, 76.2, n, lo, hi)
+        assert sum(b - a for a, b in runs) >= 2 * kernels.CHUNK
         assert attempts
         assert got == reference_argmax(152.0, 76.2, n, lo, hi)
 
     def test_many_workers_claim_each_chunk_once(self, monkeypatch):
         # more workers than CPUs and a short switch interval, so that
         # claims interleave; a lost or doubled claim breaks the count; the
-        # narrow grid keeps about 40% of its 2-point blocks
+        # bound keeps part of the narrow grid, in 8-point pieces
         monkeypatch.setattr(kernels, "_workers", lambda: 8)
-        monkeypatch.setattr(kernels, "CHUNK", 16)
+        monkeypatch.setattr(kernels, "CHUNK", 64)
         n = 20_000
         lo, hi = _narrow_grid(152.0, 76.2, 5e-4)
         passes = _record_passes(monkeypatch)
@@ -370,8 +408,8 @@ class TestHelperThreads:
             got = kernels.center_area_grid_argmax(152.0, 76.2, n, lo, hi)
         finally:
             sys.setswitchinterval(interval)
-        kept = _check_passes(*passes, 152.0, 76.2, n, lo, hi)
-        assert 8 * kernels.CHUNK <= len(kept) * _block_size(n) < n
+        runs = _check_passes(*passes, 152.0, 76.2, n, lo, hi)
+        assert 8 * kernels.CHUNK <= sum(b - a for a, b in runs) < n
         assert got == reference_argmax(152.0, 76.2, n, lo, hi)
 
     def test_memory_does_not_grow_with_workers(self, monkeypatch):
@@ -383,7 +421,9 @@ class TestScanCost:
     def test_oracle_grids_keep_under_one_percent_on_one_thread(
             self, monkeypatch):
         # 64 seeded (S_c, L) from acceptance criterion 1's domain, S_c in
-        # [1, 300] mm and L / S_c in [0, 2], on the oracle's 10^6-point grid
+        # [1, 300] mm and L / S_c in [0, 2], on the oracle's 10^6-point
+        # grid: both levels' samples and the exact pass together evaluate
+        # at most 0.2% of it, on the calling thread
         n = 10**6
         rng = np.random.default_rng(17)
         started = []
@@ -394,17 +434,70 @@ class TestScanCost:
             real_start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", noting_start)
-        _, exact = _record_passes(monkeypatch)
+        bound, exact = _record_passes(monkeypatch)
         for arc, share in zip(rng.uniform(1.0, 300.0, 64),
                               rng.uniform(0.0, 2.0, 64)):
+            bound.clear()
             exact.clear()
             kernels.center_area_grid_argmax(arc, arc * share, n, LO, HI)
-            assert 0 < sum(size * count for (_, size), count
-                           in exact.items()) <= n // 100
+            scanned = sum(size * count for (_, size), count in exact.items())
+            assert 0 < scanned and sum(bound.values()) + scanned <= n // 500
         assert not started
 
     def test_memory_at_the_largest_oracle_grid(self):
         assert _scan_peak(10**8) < 4 * 2**20
+
+    def test_memory_when_the_bound_keeps_every_block(self, monkeypatch):
+        # every area of a grid 2e-12 wide around the root lies within the
+        # bound's slack of the top, so both levels keep every block and the
+        # whole grid is scanned; each level still takes about CHUNK // 8
+        # samples at most (n / 128 on the second level without that
+        # budget, a 5.6 MiB peak here)
+        monkeypatch.setattr(kernels, "_workers", lambda: 1)
+        monkeypatch.setattr(kernels, "CHUNK", 1 << 10)
+        n = 2 * 10**6
+        lo, hi = _narrow_grid(152.0, 76.2, 1e-12)
+        assert _two_levels(152.0, 76.2, n, lo, hi)[2] == [(0, n)]
+        assert _scan_peak(n, lo, hi) < 2**20
+
+
+class TestSeriesSplit:
+    @settings(max_examples=120, deadline=None)
+    @example(arc=152.0, share=0.5, n=2, level=0, blocks=0, offset=-1,
+             step=1e-3, down=False)
+    @example(arc=152.0, share=0.5, n=3, level=0, blocks=0, offset=0,
+             step=1e-3, down=True)
+    @example(arc=1.0, share=0.0, n=20_000, level=1, blocks=2, offset=1,
+             step=1e-4, down=False)
+    @example(arc=5.0, share=0.98, n=20_000, level=2, blocks=40, offset=-1,
+             step=1e-3, down=True)
+    @given(arc=st.floats(1e-3, 1e3),
+           share=st.one_of(st.just(0.0), st.floats(1e-4, 1e2)),
+           n=st.integers(2, 20_000), level=st.sampled_from([0, 1, 2]),
+           blocks=st.integers(0, 40), offset=st.sampled_from([-1, 0, 1]),
+           step=st.floats(1e-8, 1e-2), down=st.booleans())
+    def test_cutoff_near_a_block_end(self, arc, share, n, level, blocks,
+                                     offset, step, down):
+        # a grid whose last L angles (or, run downward, first L angles) lie
+        # from the cutoff up: L = blocks * B + 1 + offset, B the block size
+        # of the bound's first or second level, so that the bounded
+        # region's last sample lands one point before, on or after a block
+        # end, or (level 0) L = 0, 1 or 2; with the series region the grid
+        # starts below 0 once it holds more than about 1e-4 / step angles
+        third = math.log2(n) / 3
+        size = (0, 1 << int(2 * third), 1 << int(third))[level]
+        bounded = min(n, max(0, blocks * size + 1 + offset))
+        if down:  # angle i is the cutoff + (bounded - i - 1/2) step
+            lo = kernels.SERIES_CUTOFF + (bounded - 0.5) * step
+            hi = lo - (n - 1) * step
+        else:  # angle i is the cutoff + (i - (n - bounded) + 1/2) step
+            lo = kernels.SERIES_CUTOFF + (bounded - n + 0.5) * step
+            hi = lo + (n - 1) * step
+        grid = lo + (hi - lo) / (n - 1) * np.arange(n, dtype=np.float64)
+        assert np.count_nonzero(grid >= kernels.SERIES_CUTOFF) == bounded
+        strip = arc * share
+        got = kernels.center_area_grid_argmax(arc, strip, n, lo, hi)
+        assert got == reference_argmax(arc, strip, n, lo, hi)
 
 
 class TestBoundPass:
@@ -491,8 +584,9 @@ class TestBoundPass:
                                            (1.0, math.nan), (math.inf, 1.0)])
     def test_unbounded_rho_scans_every_chunk_unscaled(self, monkeypatch,
                                                        arc, strip):
-        # rho = 2 l / s of 2**101, NaN or from an infinite s: no coarse
-        # pass, and the exact pass scans every block at (s, l) as given
+        # rho = 2 l / s of 2**101, NaN or from an infinite s: no bound,
+        # and the exact pass scans the whole grid at (s, l) as given, in
+        # pieces of CHUNK // CPUs points
         n = 3 * CHUNK + 7
         scanned_at = set()
         real = kernels._area_chunk
@@ -502,11 +596,10 @@ class TestBoundPass:
             real(s, l, theta, out, tmp)
 
         monkeypatch.setattr(kernels, "_area_chunk", noting_scale)
-        coarse, exact = _record_passes(monkeypatch)
+        bound, exact = _record_passes(monkeypatch)
         got = kernels.center_area_grid_argmax(arc, strip, n, LO, HI)
-        assert not coarse
-        size = _block_size(n, coarse=False)
-        assert exact == _blocks(range(0, n, size), n, LO, HI, size)
+        assert not bound
+        assert exact == _pieces([(0, n)], n, LO, HI)
         assert scanned_at == {(arc, strip)}
         with np.errstate(invalid="ignore"):
             want = reference_argmax(arc, strip, n, LO, HI)
