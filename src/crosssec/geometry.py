@@ -297,10 +297,12 @@ def inverse_design(spec: DesignSpec) -> FabricationParams:
 
     Solves the design direction without iteration.  The center arc is
     taken on the branch with arc angle in (0, pi] (the arc never wraps
-    past a half circle); the side arc length follows from the strip-chord
-    relation, choosing the short or long side arc by comparing the
-    leftover width ``w - w_c`` against the side height, with ties going
-    to the short branch.
+    past a half circle).  Each side arc spans the strip as a chord: its
+    half-angle ``u`` has ``sin u = L / H_s`` and ``cos u = 1 - (w - w_c)
+    / H_s``, from the leftover width ``w - w_c``, and ``S_s = H_s u``.
+    Both come from ``atan2``, which keeps every digit near a half circle
+    (``u -> pi/2``), where ``asin`` of the sine alone loses half of them,
+    and covers arcs past a half circle without a branch.
 
     Raises:
         InfeasibleSpec: when :func:`validate_spec` fails, or when the spec
@@ -323,11 +325,7 @@ def inverse_design(spec: DesignSpec) -> FabricationParams:
     # (gamma -> 0); the cosine from the factored discriminant keeps them
     center_arc = h * math.atan2(sine, cosine)
     strip = h * cosine
-    beta = s * math.asin(min(1.0, strip / s))
-    if w - h * sine <= s:
-        side_arc = beta
-    else:
-        side_arc = math.pi * s - beta
+    side_arc = s * math.atan2(strip, s - (w - h * sine))
     if side_arc <= 0.0:
         raise InfeasibleSpec(
             ("S_s > 0",),

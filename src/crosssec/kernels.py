@@ -4,17 +4,13 @@ Finds the maximum of the center-channel area over a uniform grid in
 float64: the angles below ``SERIES_CUTOFF`` whole, and above it only the
 blocks that two levels of a curvature bound keep, each grid value through
 the same operations as in a whole-grid scan (see
-:func:`center_area_grid_argmax`).  One plain thread per further CPU joins
-in (NumPy's ufuncs release the GIL) only while each has a full ``CHUNK``
-of kept points, so the oracle's grids start none.  Scans hold under four
-``CHUNK`` float64 arrays (2 MB), each level of the bound about ``CHUNK //
-8`` samples plus two per run.
+:func:`center_area_grid_argmax`).  Scans go in pieces of at most ``CHUNK``
+points and hold under four ``CHUNK`` float64 arrays (2 MB), each level of
+the bound about ``CHUNK // 8`` samples plus two per run.
 """
 
 import bisect
 import math
-import os
-import threading
 
 import numpy as np
 
@@ -22,16 +18,8 @@ from ._arcmath import SERIES_CUTOFF, series_area
 
 __all__ = ["CHUNK", "SERIES_CUTOFF", "center_area_grid_argmax"]
 
-#: Grid points scanned at once, summed over all workers.
+#: Grid points scanned at once.
 CHUNK = 1 << 16
-
-
-def _workers():
-    # CPUs this process may run on; tests replace this to force a count
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
 
 
 def _area_chunk(s, l, theta, out, tmp):
@@ -91,83 +79,57 @@ def _refine(s, l, lo, step, runs, size, top):
     return _join(kept), top
 
 
-def _scan_chunks(claim, s, l, lo, step, index, found):
-    # Scan the pieces [start, stop) ``claim()`` hands out, appending each
-    # one's ``(grid index, area)`` maximum to ``found``, via own buffers.
-    theta, area, tmp = np.empty((3, index.size))
-    for start, stop in iter(claim, None):
-        m = stop - start
-        t, a = theta[:m], area[:m]
-        np.add(index[:m], start, out=t)
-        np.multiply(step, t, out=t)
-        np.add(lo, t, out=t)
-        # the grid is monotone, so its smallest angle is at an end
-        if min(t[0], t[-1]) < SERIES_CUTOFF:
-            small = t < SERIES_CUTOFF
-            # theta = 0 gives 0/0 here; the series overwrites it below
-            with np.errstate(divide="ignore", invalid="ignore"):
+def _scan_chunks(s, l, lo, step, runs):
+    # The first ``(grid index, area)`` maximum over the runs [a, b), in grid
+    # order and pieces of at most CHUNK points; the first NaN area wins.
+    size = min(CHUNK, max(b - a for a, b in runs))
+    index = np.arange(size, dtype=np.float64)
+    theta, area, tmp = np.empty((3, size))
+    best_i, best = 0, -math.inf
+    for first, end in runs:
+        for start in range(first, end, size):
+            m = min(size, end - start)
+            t, a = theta[:m], area[:m]
+            np.add(index[:m], start, out=t)
+            np.multiply(step, t, out=t)
+            np.add(lo, t, out=t)
+            # the grid is monotone, so its smallest angle is at an end
+            if min(t[0], t[-1]) < SERIES_CUTOFF:
+                small = t < SERIES_CUTOFF
+                # theta = 0 gives 0/0 here; the series overwrites it below
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    _area_chunk(s, l, t, a, tmp[:m])
+                a[small] = series_area(s, l, t[small])
+            else:
                 _area_chunk(s, l, t, a, tmp[:m])
-            a[small] = series_area(s, l, t[small])
-        else:
-            _area_chunk(s, l, t, a, tmp[:m])
-        j = int(np.argmax(a))
-        found.append((start + j, float(a[j])))
-
-
-def _run(scan, args, starts, workers):
-    # ``scan(claim, *args)`` on ``workers`` threads, the caller's included,
-    # claiming ``starts`` in order; the first exception is raised here.
-    starts = iter(starts)
-    lock = threading.Lock()
-    errors = []
-
-    def claim():
-        with lock:
-            return None if errors else next(starts, None)
-
-    def work():
-        try:
-            scan(claim, *args)
-        except BaseException as exc:  # re-raised below, after the join
-            with lock:
-                errors.append(exc)
-
-    helpers = []
-    try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=work)
-            try:
-                thread.start()
-            except RuntimeError:  # none to spare: the others take its chunks
-                break
-            helpers.append(thread)
-        work()
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
+            j = int(np.argmax(a))
+            value = float(a[j])
+            if value != value:
+                return start + j, value
+            if value > best:
+                best_i, best = start + j, value
+    return best_i, best
 
 
 def center_area_grid_argmax(arc_length, strip_width, n, lo, hi):
     """Return ``(index, angle, area)`` of the grid maximum.
 
     The grid is ``lo + i * (hi - lo) / (n - 1)`` for ``i`` in ``range(n)``.
-    The result is that of ``numpy.argmax`` over the whole grid on any
-    worker count: ties keep the smallest index, a NaN area wins.  An
-    exception in any worker stops the scan and is raised here.
+    The result is that of ``numpy.argmax`` over the whole grid: ties keep
+    the smallest index, and the first NaN area wins.
 
     Areas are computed at ``(s, l)`` scaled by the power of two ``2**-k``
-    that brings ``s`` into [0.5, 1), so none over- or underflows; the area
-    returned is scaled back by ``4**k`` (inf on overflow).  The angles
-    below ``SERIES_CUTOFF`` (a prefix or a suffix) are scanned whole, the
-    rest is one run.  Each of two levels samples its runs every ``B``
-    points and at their last, and keeps each block between neighbouring
-    samples whose bound is at least the top sample so far or not finite (a
-    NaN sample keeps all); the kept blocks, both samples included and
-    joined where they touch, are the next runs, and the last are scanned.
-    ``B`` is the largest power of two up to ``n**(2/3)``, then ``n**(1/3)``,
-    or the runs' points over ``CHUNK // 8`` if larger.
+    that brings ``s`` into [0.5, 1), so none from the cutoff up over- or
+    underflows unless the factor ``2 s l`` does; the area returned is
+    scaled back by ``4**k`` (inf on overflow).  The angles below
+    ``SERIES_CUTOFF`` (a prefix or a suffix) are scanned whole, the rest is
+    one run.  Each of two levels samples its runs every ``B`` points and at
+    their last, and keeps each block between neighbouring samples whose
+    bound is at least the top sample so far or not finite (a NaN sample
+    keeps all); the kept blocks, both samples included and joined, are the
+    next runs, and the last are scanned.  ``B`` is the largest power of two
+    up to ``n**(2/3)``, then ``n**(1/3)``, or the runs' points over ``CHUNK
+    // 8`` if larger.
 
     The bound: ``a(t) = (t - sin t) / t**2 = int_0^1 (1 - x) sin(t x) dx``
     and ``b(t) = sin(t / 2) / t = int_0^1 cos(t x / 2) dx / 2``, so
@@ -189,37 +151,25 @@ def center_area_grid_argmax(arc_length, strip_width, n, lo, hi):
     < 12 M``).  The top sample is the exact pass's area at its index, so a
     skipped block holds neither the maximum nor a tie of it.
 
-    When ``rho = 2 l / s`` is NaN or above ``2**100``, or ``s`` is 0 or
-    not finite, the exact pass scans the whole grid, unscaled.
+    Raises:
+        ValueError: ``n < 2``, ``s`` zero or not finite, ``l`` not
+            finite, or ``l * 2**-k`` beyond the float range.
     """
     if n < 2:
         raise ValueError("grid needs at least 2 points")
+    s, l, k = arc_length, strip_width, math.frexp(arc_length)[1]
+    if not (s and math.isfinite(s) and math.isfinite(l)
+            and (not l or math.frexp(l)[1] - k <= 1024)):
+        raise ValueError("grid scan needs s finite and nonzero, l finite and "
+                         f"l * 2**-k finite, got s={s!r}, l={l!r}")
+    s, l = math.ldexp(s, -k), math.ldexp(l, -k)
     step = (hi - lo) / (n - 1)
-    cpus = _workers()
-    size = max(1, min(n, CHUNK // cpus))
-    s, l, k, runs = arc_length, strip_width, 0, [(0, n)]
-    rho = float(2.0 * (l / s)) if s and math.isfinite(s) else math.nan
-    if abs(rho) <= 2.0 ** 100:
-        k = math.frexp(s)[1]
-        s, l = math.ldexp(s, -k), math.ldexp(l, -k)
-        series, bounded = _split(lo, step, n)
-        runs, top, third = [bounded], -np.inf, math.log2(n) / 3
-        for block in (1 << int(2 * third), 1 << int(third)):
-            if bounded[1] - bounded[0] > 1:  # else scanned whole
-                runs, top = _refine(s, l, lo, step, runs, block, top)
-        runs = _join(sorted([series, *runs]))
-    workers = max(1, min(cpus, sum(b - a for a, b in runs) // CHUNK))
-    pieces = ((i, min(i + size, b))
-              for a, b in runs for i in range(a, b, size))
-    index = np.arange(min(size, max(b - a for a, b in runs)), dtype=float)
-    found = []
-    _run(_scan_chunks, (s, l, lo, step, index, found), pieces, workers)
-    best_i, best = 0, -np.inf
-    for i, value in sorted(found):
-        if value != value:
-            return i, lo + step * i, value
-        if value > best:
-            best_i, best = i, value
+    series, bounded = _split(lo, step, n)
+    runs, top, third = [bounded], -math.inf, math.log2(n) / 3
+    for block in (1 << int(2 * third), 1 << int(third)):
+        if bounded[1] - bounded[0] > 1:  # else scanned whole
+            runs, top = _refine(s, l, lo, step, runs, block, top)
+    i, best = _scan_chunks(s, l, lo, step, _join(sorted([series, *runs])))
     with np.errstate(over="ignore"):
         best = float(np.ldexp(best, 2 * k))
-    return best_i, lo + step * best_i, best
+    return i, lo + step * i, best

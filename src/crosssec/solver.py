@@ -34,8 +34,7 @@ _GRID_EPS = 1e-6
 _MAX_STEPS = 200
 
 #: Largest oracle grid.  The scan evaluates about 10**4 of its angles,
-#: in 0.25 ms; with L / S_c above 2**99 it scans every angle, 1.4 s on
-#: two CPUs and 2.4 to 2.9 s on one (2-CPU Xeon VM).
+#: in 0.25 ms (2-CPU Xeon VM), whatever L / S_c.
 MAX_GRID_POINTS = 100_000_000
 
 
@@ -196,13 +195,9 @@ def area_max_oracle(arc_length: float, strip_width: float,
     whole.  Above them it samples the area every ``grid_points**(2/3)``
     or so angles, then every ``grid_points**(1/3)`` or so inside the
     blocks that the area's curvature does not rule out, and scans only
-    the few blocks left, scaled so that no area over- or underflows; the argmax
-    is bit for bit that of a float64 scan of the whole grid.  When ``L /
-    S_c`` is above ``2**99`` it scans the whole grid, unscaled.  It
-    starts one thread per further usable CPU only when the scanned
-    blocks hold at least ``2**17`` angles, and its buffers share a fixed
-    budget of about 2 MB.  Ties keep the smallest angle, and the result
-    is the same on any number of CPUs.
+    the few blocks left, scaled so that no area over- or underflows; the
+    argmax is bit for bit that of a float64 scan of the whole grid.  Its
+    buffers hold about 2 MB at most, and ties keep the smallest angle.
 
     Raises:
         ValueError: grid_points not an integer from 1000 to

@@ -4,15 +4,18 @@ The reference roots the same dimensionless equations in mpmath at 50
 significant digits, from the float inputs as given, so any error left is
 the solver's own.  The inputs reach the domain's edges: ``1 - L/S_s``
 from 1e-15 to 1e-1, ``L/S_c`` up to 1e10, and scales from 1e-3 to 1e6 mm.
+The inverse's side arc is checked the same way near a half circle.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
 
+from crosssec.geometry import DesignSpec, inverse_design
 from crosssec.solver import solve_center_arc_angle, solve_side_height
 from conftest import rel_err, run_cli
 
@@ -100,6 +103,47 @@ class TestAgainstReference:
     def test_center_edge_cases(self, arc, strip):
         assert rel_err(solve_center_arc_angle(arc, strip),
                        reference_center_angle(arc, strip)) <= BOUND
+
+
+def reference_side_arc(center_height, side_height, width):
+    """S_s of the spec ``(H_c, H_s, w)``: H_s u, with sin u = L / H_s and u
+    past pi/2 when the leftover width w - w_c exceeds H_s."""
+    with mp.workdps(50):
+        h, s, w = (mp.mpf(x) for x in (center_height, side_height, width))
+        sine = (w * w + h * h - 2 * w * s) / (2 * h * (w - s))
+        u = mp.asin(h * mp.sqrt(1 - sine * sine) / s)
+        if w - h * sine > s:
+            u = mp.pi - u
+        return float(s * u)
+
+
+def _near_half_circle_specs():
+    # specs whose side half-angle lies 1e-16..1e-1 from pi/2, either way
+    rng = random.Random(20252)
+    specs = []
+    for _ in range(200):
+        h_c, a = 10.0 ** rng.uniform(-3.0, 6.0), rng.uniform(0.1, 1.4)
+        u = 0.5 * math.pi + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-16, -1)
+        h_s = h_c * math.sin(a) / math.sin(u)
+        specs.append((h_c, h_s, h_c * math.cos(a) + h_s * (1 - math.cos(u))))
+    return specs
+
+
+class TestInverseSideArc:
+    def test_side_arc_near_a_half_circle_keeps_every_digit(self):
+        # the spec that forward_geometry makes of FabricationParams(pi/4,
+        # 1.1107207345395915, 0.7071067811865475), whose side arc is 1e-8
+        # short of a half circle; asin(L / H_s) gave 1.1107207240028794
+        spec = (1.0, 0.7071067811865476, 1.414213562373095)
+        got = inverse_design(DesignSpec(*spec)).side_arc_length
+        assert got == reference_side_arc(*spec) == 1.1107207345395915
+
+    def test_side_arcs_near_a_half_circle(self):
+        err, spec = max(
+            (rel_err(inverse_design(DesignSpec(*spec)).side_arc_length,
+                     reference_side_arc(*spec)), spec)
+            for spec in _near_half_circle_specs())
+        assert err <= BOUND, (err, spec)
 
 
 def _printed(value: float) -> float:

@@ -1,7 +1,6 @@
 import collections
 import math
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -19,10 +18,6 @@ LO, HI = 1e-6, 2.0 * math.pi - 1e-6
 CASES = [(152.0, 76.2), (127.0, 50.8), (1.0, 0.0), (300.0, 10.0), (5.0, 4.9)]
 
 CHUNK = kernels.CHUNK
-
-#: Worker counts the threaded scan is forced to, so that a runner with
-#: one CPU still exercises the helper threads.
-WORKERS = [1, 2, 3, 5]
 
 
 def _area_grid(arc_length, strip_width, theta):
@@ -47,8 +42,8 @@ def reference_argmax(arc_length, strip_width, n, lo, hi):
 
 
 def _piece_size(n):
-    # the exact pass scans at most CHUNK // CPUs points at a time
-    return max(1, min(n, kernels.CHUNK // kernels._workers()))
+    # the exact pass scans at most CHUNK points at a time
+    return max(1, min(n, kernels.CHUNK))
 
 
 _SCAN = kernels._scan_chunks.__code__
@@ -60,18 +55,16 @@ def _record_passes(monkeypatch, hook=None):
     # exact (_scan_chunks) calls by first angle and length; ``hook(theta,
     # out, exact)`` runs after the real evaluation
     bound, exact = collections.Counter(), collections.Counter()
-    lock = threading.Lock()
     real = kernels._area_chunk
 
     def recording(s, l, theta, out, tmp):
         real(s, l, theta, out, tmp)
         caller = sys._getframe(1).f_code
         assert caller in (_SCAN, _REFINE)
-        with lock:
-            if caller is _SCAN:
-                exact[float(theta[0]), theta.size] += 1
-            else:
-                bound.update(theta.tolist())
+        if caller is _SCAN:
+            exact[float(theta[0]), theta.size] += 1
+        else:
+            bound.update(theta.tolist())
         if hook is not None:
             hook(theta, out, caller is _SCAN)
 
@@ -144,8 +137,8 @@ def _two_levels(arc, strip, n, lo, hi):
 
 def _check_passes(bound, exact, arc, strip, n, lo, hi):
     # every sample of each level is evaluated exactly once, exactly the
-    # runs _two_levels keeps get one exact scan, in pieces of CHUNK // CPUs
-    # points, those runs are disjoint and hold the series region (so it is
+    # runs _two_levels keeps get one exact scan, in pieces of CHUNK points,
+    # those runs are disjoint and hold the series region (so it is
     # scanned exactly once), and something is skipped
     series, samples, runs = _two_levels(arc, strip, n, lo, hi)
     assert bound == collections.Counter(samples)
@@ -175,12 +168,6 @@ def _scan_peak(n, lo=LO, hi=HI):
     finally:
         tracemalloc.stop()
     return peak
-
-
-@pytest.fixture(params=WORKERS, ids=lambda w: f"{w}workers")
-def forced_workers(request, monkeypatch):
-    monkeypatch.setattr(kernels, "_workers", lambda: request.param)
-    return request.param
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -230,8 +217,7 @@ class TestChunkedScan:
     def test_tie_across_chunk_boundary_keeps_first_index(self, monkeypatch):
         # a step of 1/5 ulp repeats each angle about five times, so the
         # maximum is a run of equal areas; the bound keeps the whole grid,
-        # and with a 10-point budget that run crosses a piece boundary at
-        # every worker count
+        # and with a 10-point budget that run crosses a piece boundary
         arc, strip = 152.0, 76.2
         root = solve_center_arc_angle(arc, strip)
         lo = root - 8 * math.ulp(root)
@@ -271,10 +257,12 @@ class TestChunkedScan:
         assert _scan_peak(4_000_000) < 4 * 2**20
 
     def test_nan_area_wins_like_numpy_argmax(self):
-        got = kernels.center_area_grid_argmax(math.nan, 1.0, 10, LO, HI)
-        want = reference_argmax(math.nan, 1.0, 10, LO, HI)
-        assert got[:2] == want[:2] == (0, LO)
-        assert math.isnan(got[2]) and math.isnan(want[2])
+        # a NaN end of the grid makes every angle and area NaN
+        got = kernels.center_area_grid_argmax(1.0, 1.0, 10, LO, math.nan)
+        with np.errstate(invalid="ignore"):
+            want = reference_argmax(1.0, 1.0, 10, LO, math.nan)
+        assert got[0] == want[0] == 0
+        assert all(math.isnan(x) for x in (*got[1:], *want[1:]))
 
     @pytest.mark.parametrize("n", [3 * CHUNK + 7, 10**6])
     def test_every_chunk_scanned_exactly_once(self, monkeypatch, n):
@@ -313,26 +301,18 @@ class TestChunkedScan:
 
         monkeypatch.setattr(kernels, "CHUNK", 64)
         _record_passes(monkeypatch, fail)
-        threads = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk failed"):
             kernels.center_area_grid_argmax(1.0, 0.0, 5000, LO, HI)
-        assert threading.active_count() == threads
         assert capsys.readouterr().err == ""
 
 
-@pytest.mark.usefixtures("forced_workers")
-class TestGridArgmaxForcedWorkers(TestGridArgmax):
-    """TestGridArgmax again at each forced worker count, with a CHUNK so
-    small that the block size, at most CHUNK // workers, changes with it."""
+class TestGridArgmaxSmallChunk(TestGridArgmax):
+    """TestGridArgmax again with a CHUNK so small that the exact pass scans
+    many pieces and each level of the bound has a budget of 8 samples."""
 
     @pytest.fixture(autouse=True)
     def small_chunk(self, monkeypatch):
         monkeypatch.setattr(kernels, "CHUNK", 1 << 6)
-
-
-@pytest.mark.usefixtures("forced_workers")
-class TestChunkedScanForcedWorkers(TestChunkedScan):
-    """TestChunkedScan again at each forced worker count."""
 
 
 def _narrow_grid(arc, strip, width):
@@ -342,98 +322,14 @@ def _narrow_grid(arc, strip, width):
     return root - width, root + width
 
 
-class TestHelperThreads:
-    @pytest.mark.parametrize("workers", [2, 3, 5])
-    def test_exception_in_a_helper_reaches_the_caller(self, monkeypatch,
-                                                      capsys, workers):
-        # on a grid below the series cutoff every block is kept, so the
-        # exact pass calls for every worker; the calling thread holds its
-        # first block until a helper has failed, so a helper is sure to
-        # scan (and fail on) a block
-        caller = threading.get_ident()
-        failed = threading.Event()
-
-        def fail_off_caller(theta, out, exact):
-            if not exact:
-                return
-            if threading.get_ident() == caller:
-                assert failed.wait(timeout=10)
-            else:
-                failed.set()
-                raise RuntimeError("helper failed")
-
-        monkeypatch.setattr(kernels, "_workers", lambda: workers)
-        monkeypatch.setattr(kernels, "CHUNK", 64)
-        _record_passes(monkeypatch, fail_off_caller)
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="helper failed"):
-            kernels.center_area_grid_argmax(152.0, 76.2, 5000, 1e-7, 9e-5)
-        assert failed.is_set()
-        assert threading.active_count() == threads
-        assert capsys.readouterr().err == ""
-
-    def test_scan_completes_when_no_thread_can_start(self, monkeypatch):
-        # the bound keeps about 40% of the narrow grid, enough points for
-        # four workers at this CHUNK; every thread start is refused
-        attempts = []
-
-        def refuse(thread):
-            attempts.append(thread)
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(kernels, "_workers", lambda: 4)
-        monkeypatch.setattr(kernels, "CHUNK", 1 << 12)
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        n = 3 * CHUNK + 7
-        lo, hi = _narrow_grid(152.0, 76.2, 5e-4)
-        passes = _record_passes(monkeypatch)
-        got = kernels.center_area_grid_argmax(152.0, 76.2, n, lo, hi)
-        runs = _check_passes(*passes, 152.0, 76.2, n, lo, hi)
-        assert sum(b - a for a, b in runs) >= 2 * kernels.CHUNK
-        assert attempts
-        assert got == reference_argmax(152.0, 76.2, n, lo, hi)
-
-    def test_many_workers_claim_each_chunk_once(self, monkeypatch):
-        # more workers than CPUs and a short switch interval, so that
-        # claims interleave; a lost or doubled claim breaks the count; the
-        # bound keeps part of the narrow grid, in 8-point pieces
-        monkeypatch.setattr(kernels, "_workers", lambda: 8)
-        monkeypatch.setattr(kernels, "CHUNK", 64)
-        n = 20_000
-        lo, hi = _narrow_grid(152.0, 76.2, 5e-4)
-        passes = _record_passes(monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = kernels.center_area_grid_argmax(152.0, 76.2, n, lo, hi)
-        finally:
-            sys.setswitchinterval(interval)
-        runs = _check_passes(*passes, 152.0, 76.2, n, lo, hi)
-        assert 8 * kernels.CHUNK <= sum(b - a for a, b in runs) < n
-        assert got == reference_argmax(152.0, 76.2, n, lo, hi)
-
-    def test_memory_does_not_grow_with_workers(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_workers", lambda: 8)
-        assert _scan_peak(4_000_000) < 4 * 2**20
-
-
 class TestScanCost:
-    def test_oracle_grids_keep_under_one_percent_on_one_thread(
-            self, monkeypatch):
+    def test_oracle_grids_keep_under_one_percent(self, monkeypatch):
         # 64 seeded (S_c, L) from acceptance criterion 1's domain, S_c in
         # [1, 300] mm and L / S_c in [0, 2], on the oracle's 10^6-point
         # grid: both levels' samples and the exact pass together evaluate
-        # at most 0.2% of it, on the calling thread
+        # at most 0.2% of it
         n = 10**6
         rng = np.random.default_rng(17)
-        started = []
-        real_start = threading.Thread.start
-
-        def noting_start(thread):
-            started.append(thread)
-            real_start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", noting_start)
         bound, exact = _record_passes(monkeypatch)
         for arc, share in zip(rng.uniform(1.0, 300.0, 64),
                               rng.uniform(0.0, 2.0, 64)):
@@ -442,7 +338,18 @@ class TestScanCost:
             kernels.center_area_grid_argmax(arc, arc * share, n, LO, HI)
             scanned = sum(size * count for (_, size), count in exact.items())
             assert 0 < scanned and sum(bound.values()) + scanned <= n // 500
-        assert not started
+
+    @pytest.mark.parametrize("strip", [2.0**100, 2.0**1000])
+    def test_huge_strip_keeps_under_a_tenth_of_a_percent(self, monkeypatch,
+                                                         strip):
+        # L / S_c far past 2**99 takes the bound like any other input: on
+        # the largest oracle grid both levels' samples and the exact pass
+        # evaluate under 0.1% of it
+        n = 10**8
+        bound, exact = _record_passes(monkeypatch)
+        kernels.center_area_grid_argmax(1.0, strip, n, LO, HI)
+        scanned = sum(size * count for (_, size), count in exact.items())
+        assert 0 < scanned and sum(bound.values()) + scanned < n // 1000
 
     def test_memory_at_the_largest_oracle_grid(self):
         assert _scan_peak(10**8) < 4 * 2**20
@@ -453,7 +360,6 @@ class TestScanCost:
         # whole grid is scanned; each level still takes about CHUNK // 8
         # samples at most (n / 128 on the second level without that
         # budget, a 5.6 MiB peak here)
-        monkeypatch.setattr(kernels, "_workers", lambda: 1)
         monkeypatch.setattr(kernels, "CHUNK", 1 << 10)
         n = 2 * 10**6
         lo, hi = _narrow_grid(152.0, 76.2, 1e-12)
@@ -554,12 +460,13 @@ class TestBoundPass:
     @settings(max_examples=60, deadline=None)
     @example(arc=152.0, share=0.5, n=20_000, width=1e-12, down=False)
     @example(arc=1.0, share=2.0**99, n=5000, width=1e-1, down=True)
+    @example(arc=1e6, share=2.0**1000, n=5000, width=1e-1, down=False)
     @given(arc=st.floats(1e-3, 1e6),
-           share=st.one_of(st.just(0.0), st.floats(1e-4, 2.0**99)),
+           share=st.one_of(st.just(0.0), st.floats(1e-4, 2.0**1000)),
            n=st.integers(2, 20_000), width=st.floats(1e-12, 1e-1),
            down=st.booleans())
     def test_narrow_grid_around_the_root(self, arc, share, n, width, down):
-        # rho = 2 L / S_c up to 2**100, on [root - width, root + width],
+        # rho = 2 L / S_c up to 2**1001, on [root - width, root + width],
         # either way round
         lo, hi = _narrow_grid(arc, arc * share, width)
         if down:
@@ -570,8 +477,9 @@ class TestBoundPass:
     @settings(max_examples=60, deadline=None)
     @example(arc=152.0, share=0.5, n=10_000, lo=0.0, span=-2.0 * math.pi)
     @example(arc=1.0, share=2.0**99, n=10_000, lo=2.0 * math.pi, span=50.0)
+    @example(arc=1e6, share=2.0**1000, n=10_000, lo=-1.0, span=100.0)
     @given(arc=st.floats(1e-3, 1e6),
-           share=st.one_of(st.just(0.0), st.floats(1e-4, 2.0**99)),
+           share=st.one_of(st.just(0.0), st.floats(1e-4, 2.0**1000)),
            n=st.integers(2, 20_000), lo=st.floats(-1.0, 20.0),
            span=st.floats(-100.0, 100.0))
     def test_wide_and_decreasing_grids(self, arc, share, n, lo, span):
@@ -580,13 +488,14 @@ class TestBoundPass:
                                               lo + span)
         assert got == _scaled_reference(arc, arc * share, n, lo, lo + span)
 
-    @pytest.mark.parametrize("arc,strip", [(1.0, 2.0**100),
-                                           (1.0, math.nan), (math.inf, 1.0)])
-    def test_unbounded_rho_scans_every_chunk_unscaled(self, monkeypatch,
-                                                       arc, strip):
-        # rho = 2 l / s of 2**101, NaN or from an infinite s: no bound,
-        # and the exact pass scans the whole grid at (s, l) as given, in
-        # pieces of CHUNK // CPUs points
+    @pytest.mark.parametrize("arc,strip", [
+        (1.0, 2.0**100), (3.0, 2.0**600), (1e-300, 1e-300 * 2.0**1000),
+        (1e-200, 1e-200 * 2.0**900), (1.0, 2.0**1022)])
+    def test_huge_rho_takes_the_scaled_bounded_path(self, monkeypatch, arc,
+                                                    strip):
+        # rho = 2 l / s in (2**100, 2**1023]: both levels of the bound run,
+        # every area is computed at (s, l) scaled by 2**-k, and the result
+        # is the scaled whole-grid argmax
         n = 3 * CHUNK + 7
         scanned_at = set()
         real = kernels._area_chunk
@@ -596,15 +505,35 @@ class TestBoundPass:
             real(s, l, theta, out, tmp)
 
         monkeypatch.setattr(kernels, "_area_chunk", noting_scale)
-        bound, exact = _record_passes(monkeypatch)
+        passes = _record_passes(monkeypatch)
         got = kernels.center_area_grid_argmax(arc, strip, n, LO, HI)
-        assert not bound
-        assert exact == _pieces([(0, n)], n, LO, HI)
-        assert scanned_at == {(arc, strip)}
-        with np.errstate(invalid="ignore"):
-            want = reference_argmax(arc, strip, n, LO, HI)
-        assert got[:2] == want[:2]
-        assert got[2] == want[2] or math.isnan(got[2]) and math.isnan(want[2])
+        _check_passes(*passes, arc, strip, n, LO, HI)
+        k = math.frexp(arc)[1]
+        assert scanned_at == {(math.ldexp(arc, -k), math.ldexp(strip, -k))}
+        assert got == _scaled_reference(arc, strip, n, LO, HI)
+
+    @pytest.mark.parametrize("arc,strip", [
+        (0.0, 1.0), (-0.0, 0.0), (math.inf, 1.0), (-math.inf, 1.0),
+        (math.nan, 1.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan),
+        (5e-324, 1.0), (1e-300, 1e300), (1e-10, -1e300), (0.25, 2.0**1023),
+        (0.375, -2.0**1023)])
+    def test_unrepresentable_inputs_are_refused(self, arc, strip):
+        # the scaled scan needs s finite and nonzero, l finite, and l * 2**-k
+        # within the float range
+        with pytest.raises(ValueError, match="grid scan needs"):
+            kernels.center_area_grid_argmax(arc, strip, 1000, LO, HI)
+
+    @pytest.mark.parametrize("arc,strip,finite", [
+        (0.5, sys.float_info.max, True), (0.25, 2.0**1023 - 2.0**970, True),
+        (5e-324, 2.0**-50, True), (0.75, sys.float_info.max, False),
+        (-0.75, -sys.float_info.max, False)])
+    def test_largest_strips_short_of_the_refusal(self, arc, strip, finite):
+        # l * 2**-k up to the largest float: from the cutoff up the areas
+        # stay finite while the factor 2 s l 2**-2k does, and are inf (the
+        # first one wins) where it overflows
+        got = kernels.center_area_grid_argmax(arc, strip, 1000, LO, HI)
+        assert got == _scaled_reference(arc, strip, 1000, LO, HI)
+        assert math.isfinite(got[2]) == finite
 
     @settings(max_examples=80, deadline=None)
     @example(arc=1e160, share=1e-160, n=1000, chunk=64)
