@@ -41,6 +41,12 @@ def reference_argmax(arc_length, strip_width, n, lo, hi):
     return i, lo + step * i, float(area[i])
 
 
+def _set_chunk(monkeypatch, size):
+    # CHUNK = size, cut in the ratio that a fixture cut the default by
+    monkeypatch.setattr(kernels, "CHUNK",
+                        max(1, size * kernels.CHUNK // CHUNK))
+
+
 def _piece_size(n):
     # the exact pass scans at most CHUNK points at a time
     return max(1, min(n, kernels.CHUNK))
@@ -223,7 +229,7 @@ class TestChunkedScan:
         lo = root - 8 * math.ulp(root)
         hi = lo + 16 * math.ulp(root)
         n = 81
-        monkeypatch.setattr(kernels, "CHUNK", 10)
+        _set_chunk(monkeypatch, 10)
         want = reference_argmax(arc, strip, n, lo, hi)
         step = (hi - lo) / (n - 1)
         area = _area_grid(arc, strip, lo + step * np.arange(n))
@@ -235,7 +241,7 @@ class TestChunkedScan:
         assert kernels.center_area_grid_argmax(arc, strip, n, lo, hi) == want
 
     def test_constant_grid_keeps_first_index(self, monkeypatch):
-        monkeypatch.setattr(kernels, "CHUNK", 4)
+        _set_chunk(monkeypatch, 4)
         assert kernels.center_area_grid_argmax(5.0, 4.9, 19, 2.0, 2.0) == \
             reference_argmax(5.0, 4.9, 19, 2.0, 2.0)
 
@@ -246,7 +252,7 @@ class TestChunkedScan:
     def test_matches_whole_grid(self, arc, strip_share, n, lo, span, chunk):
         strip = arc * strip_share
         saved = kernels.CHUNK
-        kernels.CHUNK = chunk
+        kernels.CHUNK = max(1, chunk * saved // CHUNK)
         try:
             got = kernels.center_area_grid_argmax(arc, strip, n, lo, lo + span)
         finally:
@@ -283,7 +289,7 @@ class TestChunkedScan:
         def poison(theta, out, exact):
             out[np.isin((theta - lo) * 64, nan_at)] = math.nan
 
-        monkeypatch.setattr(kernels, "CHUNK", 10)
+        _set_chunk(monkeypatch, 10)
         _record_passes(monkeypatch, poison)
         step = (hi - lo) / (n - 1)
         area = _area_grid(5.0, 4.9, lo + step * np.arange(n))
@@ -299,20 +305,40 @@ class TestChunkedScan:
             if exact and theta[0] > 3.0:
                 raise RuntimeError("chunk failed")
 
-        monkeypatch.setattr(kernels, "CHUNK", 64)
+        _set_chunk(monkeypatch, 64)
         _record_passes(monkeypatch, fail)
         with pytest.raises(RuntimeError, match="chunk failed"):
             kernels.center_area_grid_argmax(1.0, 0.0, 5000, LO, HI)
         assert capsys.readouterr().err == ""
 
 
+#: Divisors of the default CHUNK for the scan's smaller-piece variants;
+#: none is a power of two, so the pieces do not line up with the bound's
+#: power-of-two blocks.
+DIVISORS = [3, 5, 7, 11]
+
+
+class TestChunkedScanSmallerPieces(TestChunkedScan):
+    """TestChunkedScan again with CHUNK cut by each divisor: the exact pass
+    scans in smaller pieces, so the running maximum is merged across other
+    piece boundaries, and the bound's budget of CHUNK // 8 samples a level
+    falls with it.  Tests that set a CHUNK of their own cut it alike."""
+
+    @pytest.fixture(autouse=True, params=DIVISORS,
+                    ids=lambda d: f"chunk_over_{d}")
+    def smaller_pieces(self, request, monkeypatch):
+        monkeypatch.setattr(kernels, "CHUNK", CHUNK // request.param)
+
+
 class TestGridArgmaxSmallChunk(TestGridArgmax):
     """TestGridArgmax again with a CHUNK so small that the exact pass scans
-    many pieces and each level of the bound has a budget of 8 samples."""
+    many pieces and each level of the bound has a budget of at most 8
+    samples, at 2**6 and at 2**6 cut by each divisor."""
 
-    @pytest.fixture(autouse=True)
-    def small_chunk(self, monkeypatch):
-        monkeypatch.setattr(kernels, "CHUNK", 1 << 6)
+    @pytest.fixture(autouse=True, params=[1, *DIVISORS],
+                    ids=lambda d: f"chunk_64_over_{d}")
+    def small_chunk(self, request, monkeypatch):
+        monkeypatch.setattr(kernels, "CHUNK", (1 << 6) // request.param)
 
 
 def _narrow_grid(arc, strip, width):
