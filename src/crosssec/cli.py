@@ -40,40 +40,49 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-#: Flag group -> its flags as (option, config key, type, help); a flag's
+#: Flag group -> its flags as (option, config key, check, help); a flag's
 #: value lands in the option's name (``--grid-points`` in
 #: ``args.grid_points``) and overrides the config key, a section's field
-#: named ``section.field``.  A group is named after the config key it
-#: overrides, or the ``output`` kind it writes.
+#: named ``section.field``.  The check is a ``check_number`` kind, a
+#: "grid" (a list of numbers, or one comma-separated string) or a "path";
+#: a flag only parses its text to a number (a grid or a path stays text),
+#: and the check does the rest, so a flag takes what its field takes.  A
+#: group is named after the config key it overrides, or the ``output``
+#: kind it writes.
 _FLAGS = {
-    "spec": (("--hc", "spec.H_c_mm", float, "center channel height H_c, mm"),
-             ("--hs", "spec.H_s_mm", float, "side channel height H_s, mm"),
-             ("--w", "spec.w_mm", float, "overall width w, mm")),
-    "fab": (("--sc", "fab.S_c_mm", float, "center arc length S_c, mm"),
-            ("--ss", "fab.S_s_mm", float, "side arc length S_s, mm"),
-            ("--l", "fab.L_mm", float, "strip width L, mm")),
-    "sweep": (("--perimeter", "sweep.perimeter_mm", float,
+    "spec": (("--hc", "spec.H_c_mm", "positive",
+              "center channel height H_c, mm"),
+             ("--hs", "spec.H_s_mm", "positive",
+              "side channel height H_s, mm"),
+             ("--w", "spec.w_mm", "positive", "overall width w, mm")),
+    "fab": (("--sc", "fab.S_c_mm", "positive", "center arc length S_c, mm"),
+            ("--ss", "fab.S_s_mm", "positive", "side arc length S_s, mm"),
+            ("--l", "fab.L_mm", "non-negative", "strip width L, mm")),
+    "sweep": (("--perimeter", "sweep.perimeter_mm", "positive",
                "membrane perimeter, mm"),
-              ("--sc", "sweep.S_c_mm", str,
+              ("--sc", "sweep.S_c_mm", "grid",
                "comma-separated center arc lengths, mm"),
-              ("--l", "sweep.L_mm", str, "comma-separated strip widths, mm")),
-    "oracle": (("--sc", "fab.S_c_mm", float, "center arc length S_c, mm"),
-               ("--l", "fab.L_mm", float, "strip width L, mm"),
-               ("--grid-points", "oracle.grid_points", int,
+              ("--l", "sweep.L_mm", "grid",
+               "comma-separated strip widths, mm")),
+    "oracle": (("--sc", "fab.S_c_mm", "positive",
+                "center arc length S_c, mm"),
+               ("--l", "fab.L_mm", "non-negative", "strip width L, mm"),
+               ("--grid-points", "oracle.grid_points", "integer",
                 "grid size (>= 1000; default 1000000)")),
-    "compare": (("--outline", "compare.outline_csv", str,
+    "compare": (("--outline", "compare.outline_csv", "path",
                  "CSV of outline points (x_mm,y_mm)"),),
-    "force": (("--pressure-kpa", "force.pressure_kpa", float,
+    "force": (("--pressure-kpa", "force.pressure_kpa", "non-negative",
                "inflation pressure, kPa"),
-              ("--area-mm2", "force.area_mm2", float,
+              ("--area-mm2", "force.area_mm2", "non-negative",
                "cross-section area, mm^2 (alternative to geometry)")),
-    "arc_resolution_mm": (("--arc-resolution", "arc_resolution_mm", float,
-                           "polygonization max sagitta error, mm "
-                           "(default 1e-4)"),),
-    "json": (("--json", "output.json", str,
+    "arc_resolution_mm": (("--arc-resolution", "arc_resolution_mm",
+                           "positive", "polygonization max sagitta error, "
+                           "mm (default 1e-4)"),),
+    "json": (("--json", "output.json", "path",
               "also write the JSON result to PATH"),),
-    "svg": (("--svg", "output.svg", str, "also render the section to PATH"),),
-    "csv": (("--csv", "output.csv", str, "also write the CSV to PATH"),),
+    "svg": (("--svg", "output.svg", "path",
+             "also render the section to PATH"),),
+    "csv": (("--csv", "output.csv", "path", "also write the CSV to PATH"),),
 }
 _OUTPUTS = ("json", "svg", "csv")
 
@@ -85,9 +94,11 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(mode, help=help_text)
         p.add_argument("--config", help="JSON job config file")
         for group in groups:
-            for option, _, kind, help_flag in _FLAGS[group]:
-                p.add_argument(option, type=kind, help=help_flag,
-                               metavar="PATH" if group in _OUTPUTS else None)
+            for option, _, check, help_flag in _FLAGS[group]:
+                p.add_argument(
+                    option, help=help_flag,
+                    type=str if check in ("grid", "path") else float,
+                    metavar="PATH" if group in _OUTPUTS else None)
     return parser
 
 
@@ -104,26 +115,42 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _check_path(path, name: str) -> str:
-    # open() would take an int as a file descriptor (0 is stdin)
-    if not isinstance(path, str):
-        raise ValueError(f"{name} must be a path string, got {path!r}")
-    return path
+def _check(value, check: str, name: str):
+    """``value`` as its flag row's ``check`` takes it, or ValueError that
+    names it as ``name``."""
+    if check == "path":
+        # open() would take an int as a file descriptor (0 is stdin)
+        if isinstance(value, str):
+            return value
+        raise ValueError(f"{name} must be a path string, got {value!r}")
+    if check != "grid":
+        return check_number(value, name, check)
+    if isinstance(value, str):
+        try:
+            return [float(p) for p in value.replace(",", " ").split()]
+        except ValueError:
+            raise ValueError(
+                f"{name}: expected numbers, got {value!r}") from None
+    if not isinstance(value, list):
+        raise ValueError(f"{name}: expected a list of numbers, got {value!r}")
+    # sign and finiteness are per-cell feasibility, reported in the CSV
+    return [check_number(v, name) for v in value]
 
 
 def _resolve_job(args, config: dict) -> dict:
-    """Every config key the mode reads -> its value, flag over field.
+    """Every config key the mode reads -> its checked value, flag over field.
 
-    A key that neither gives is left out.  A key or section field the mode
-    does not read (it would change nothing), a section it reads that is
-    not an object and an output path that is not a string are refused
-    before any command runs.
+    A key that neither gives is left out, and so is a null output path (it
+    writes no file).  A key or section field the mode does not read (it
+    would change nothing), a section it reads that is not an object and a
+    value its flag row's check refuses are refused before any command
+    runs; the value is named by its flag, or its key (``section.field``)
+    if it came from the config.
     """
-    flags = {key: option[2:].replace("-", "_")
-             for group in _MODES[args.mode][1]
-             for option, key, _, _ in _FLAGS[group]}
-    sections = {key.partition(".")[0] for key in flags if "." in key}
-    job = {}
+    rows = {key: (option, check) for group in _MODES[args.mode][1]
+            for option, key, check, _ in _FLAGS[group]}
+    sections = {key.partition(".")[0] for key in rows if "." in key}
+    given = {}  # key -> (value, its flag or key)
     for name, value in config.items():
         if name in sections:
             if not isinstance(value, dict):
@@ -135,17 +162,17 @@ def _resolve_job(args, config: dict) -> dict:
             fields = {name: value}
         for key in fields:
             # a dotted top-level name is no section's field
-            if key not in flags or "." in name:
+            if key not in rows or "." in name:
                 raise ValueError(
                     f"{args.mode} does not read config key {key!r}")
-        job.update(fields)
-    job.update((key, getattr(args, flag)) for key, flag in flags.items()
-               if getattr(args, flag) is not None)
-    for kind in _OUTPUTS:
-        path = job.get(f"output.{kind}")
-        if path is not None:  # a null output path writes no file
-            _check_path(path, f"output {kind}")
-    return job
+        given.update((key, (v, key)) for key, v in fields.items())
+    for key, (option, _) in rows.items():
+        value = getattr(args, option[2:].replace("-", "_"))
+        if value is not None:
+            given[key] = value, option
+    return {key: _check(value, rows[key][1], name)
+            for key, (value, name) in given.items()
+            if value is not None or not key.startswith("output.")}
 
 
 #: Config section -> what it is and its parser; its flags and fields are
@@ -156,20 +183,16 @@ _RECORDS = {
 }
 
 
-def _given(job: dict, section: str) -> bool:
-    return any(key in job for _, key, _, _ in _FLAGS[section])
+def _fields(job: dict, section: str) -> dict:
+    """The job's values of one config section, by field name."""
+    return {key.partition(".")[2]: value for key, value in job.items()
+            if key.partition(".")[0] == section}
 
 
 def _record(job: dict, section: str):
-    """The spec or fab params from the job's keys of that section."""
+    """The spec or fab params from the job's fields of that section."""
     what, from_dict = _RECORDS[section]
-    fields = {}
-    for _, key, _, _ in _FLAGS[section]:
-        if key in job:
-            # named by field here; range and feasibility are the record's
-            # and the spec validator's to report
-            field = key.partition(".")[2]
-            fields[field] = check_number(job[key], field)
+    fields = _fields(job, section)
     if not fields:
         options = "/".join(option for option, _, _, _ in _FLAGS[section])
         raise ValueError(
@@ -177,31 +200,20 @@ def _record(job: dict, section: str):
     return from_dict(fields)
 
 
-def _resolution(job: dict) -> float:
-    return check_number(job.get("arc_resolution_mm", DEFAULT_ARC_RESOLUTION),
-                        "arc resolution", "positive")
+def _needed(job: dict, mode: str, *keys) -> list:
+    """The job's values of ``keys``, each of which ``mode`` needs."""
+    for key in keys:
+        if job.get(key) is None:
+            option = next(option for group in _MODES[mode][1]
+                          for option, row_key, _, _ in _FLAGS[group]
+                          if row_key == key)
+            raise ValueError(f"{mode} needs {option} or config {key}")
+    return [job[key] for key in keys]
 
 
-def _parse_grid(job: dict, key: str, name: str) -> list[float]:
-    if key not in job:
-        raise ValueError(f"sweep needs {name}")
-    value = job[key]
-    if isinstance(value, str):
-        parts = [p for p in value.replace(",", " ").split() if p]
-        try:
-            return [float(p) for p in parts]
-        except ValueError:
-            raise ValueError(f"{name}: expected numbers, got {value!r}") from None
-    if not isinstance(value, list):
-        raise ValueError(f"{name}: expected a list of numbers, got {value!r}")
-    # sign and finiteness are per-cell feasibility, reported in the CSV
-    return [check_number(v, name) for v in value]
-
-
-# Each command takes the resolved job, checks and computes, and returns
-# the stdout text with the section an SVG output draws (None where the
-# mode has none).  A key in the job was given, even as null, so it is
-# tested with ``in`` and a null reaches its check.
+# Each command takes the resolved job, whose every value is checked, and
+# computes; it returns the stdout text with the section an SVG output
+# draws (None where the mode has none).
 
 def _cmd_inverse(job):
     spec = _record(job, "spec")
@@ -224,45 +236,35 @@ def _cmd_inverse(job):
 
 
 def _cmd_forward(job):
-    section = forward_geometry(_record(job, "fab"), _resolution(job))
+    section = forward_geometry(_record(job, "fab"), job.get(
+        "arc_resolution_mm", DEFAULT_ARC_RESOLUTION))
     return to_json(section_to_dict(section)), section
 
 
 def _cmd_shape(job):
-    section = build_cross_section(_record(job, "spec"), _resolution(job))
+    section = build_cross_section(_record(job, "spec"), job.get(
+        "arc_resolution_mm", DEFAULT_ARC_RESOLUTION))
     return to_json(section_to_dict(section)), section
 
 
 def _cmd_sweep(job):
-    if "sweep.perimeter_mm" not in job:
-        raise ValueError("sweep needs --perimeter or config sweep.perimeter_mm")
-    arcs = _parse_grid(job, "sweep.S_c_mm", "--sc / sweep.S_c_mm")
-    strips = _parse_grid(job, "sweep.L_mm", "--l / sweep.L_mm")
-    perimeter = check_number(job["sweep.perimeter_mm"], "sweep perimeter_mm",
-                             "positive")
-    records = sweep_constant_perimeter(perimeter, arcs, strips)
+    records = sweep_constant_perimeter(*_needed(
+        job, "sweep", "sweep.perimeter_mm", "sweep.S_c_mm", "sweep.L_mm"))
     return sweep_to_csv(records), None
 
 
 def _cmd_oracle(job):
-    if "fab.S_c_mm" not in job or "fab.L_mm" not in job:
-        raise ValueError("oracle needs --sc and --l (or config fab)")
-    # checked here too, so that messages name the config fields and the
-    # output echoes the values as the library takes them (1e4 as 10000)
-    grid_points = check_number(job.get("oracle.grid_points", 1_000_000),
-                               "oracle grid_points", "integer")
-    s_c = check_number(job["fab.S_c_mm"], "S_c_mm", "positive")
-    strip = check_number(job["fab.L_mm"], "L_mm", "non-negative")
+    s_c, strip = _needed(job, "oracle", "fab.S_c_mm", "fab.L_mm")
+    # the output echoes the values as checked (grid_points 1e4 as 10000)
+    grid_points = job.get("oracle.grid_points", 1_000_000)
     result = area_max_oracle(s_c, strip, grid_points)
     return to_json(oracle_to_dict(s_c, strip, grid_points, result)), None
 
 
 def _cmd_compare(job):
-    if "compare.outline_csv" not in job:
-        raise ValueError("compare needs --outline or config compare.outline_csv")
-    outline_path = _check_path(job["compare.outline_csv"], "compare outline")
+    outline_path, = _needed(job, "compare", "compare.outline_csv")
     fab = _record(job, "fab")
-    resolution = _resolution(job)
+    resolution = job.get("arc_resolution_mm", DEFAULT_ARC_RESOLUTION)
     measured = read_outline_csv(outline_path)
     section = forward_geometry(fab, resolution)
     return to_json({
@@ -273,18 +275,14 @@ def _cmd_compare(job):
 
 
 def _cmd_force(job):
-    if "force.pressure_kpa" not in job:
-        raise ValueError("force needs --pressure-kpa")
-    pressure = check_number(job["force.pressure_kpa"], "pressure_kpa",
-                            "non-negative")
-    area = check_number(job["force.area_mm2"], "area_mm2", "non-negative") \
-        if "force.area_mm2" in job else None
-    resolution = _resolution(job)
+    pressure, = _needed(job, "force", "force.pressure_kpa")
+    area = job.get("force.area_mm2")
     if area is None:
+        resolution = job.get("arc_resolution_mm", DEFAULT_ARC_RESOLUTION)
         # the record any of whose flags or fields were given, fab first
-        if _given(job, "fab"):
+        if _fields(job, "fab"):
             area = forward_geometry(_record(job, "fab"), resolution).total_area
-        elif _given(job, "spec"):
+        elif _fields(job, "spec"):
             area = build_cross_section(_record(job, "spec"),
                                        resolution).total_area
         else:

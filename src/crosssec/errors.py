@@ -108,4 +108,6 @@ class DegeneratePolygon(CrossSecError):
 
 class OracleMismatch(CrossSecError):
     """The brute-force area maximum disagrees with the analytic root by
-    more than one grid step; signals a bug, not a user error."""
+    more than one grid step.  Not a user error: a bug, or near 10**8 grid
+    points float64 ties near the maximum, which can put the raw argmax
+    just past one grid step from the root."""

@@ -248,13 +248,19 @@ def feasibility_discriminant(spec: DesignSpec) -> float:
     width; scales as k^4 under uniform scaling by k.  Algebraically equal
     to ``4 h^2 (w - s)^2 - (w^2 + h^2 - 2 w s)^2``, which ties it to the
     arcsin-argument condition of :func:`validate_spec`.  Evaluated in the
-    factored form: each factor is one rounded sum, so a factor that is
-    exactly zero (the tangent spec ``(h, h, 3h)`` has ``h + 2s - w = 0``)
-    makes gamma exactly zero, where the expanded polynomial leaves
-    roundoff that ``sqrt`` magnifies into a strip width.
+    factored form, as the expanded polynomial leaves roundoff that
+    ``sqrt`` magnifies into a strip width.  ``2s - w`` is taken first, as
+    it is exact wherever ``w / 4 <= s <= w`` (Sterbenz), so each factor is
+    about one rounded sum also where ``w`` is near ``2s`` (a center far
+    narrower than the sides); summed from left to right, those kept about
+    ``w / h`` ulps of roundoff in the strip width.  A spec whose ``h + 2s``
+    rounds to ``w`` is taken as tangent (``h + 2s - w = 0``), so gamma is
+    exactly zero for ``(h, h, 3h)`` at any ``h``.
     """
     h, s, w = spec.center_height, spec.side_height, spec.width
-    return (w - h) * (h + 2.0 * s - w) * (w + h) * (w + h - 2.0 * s)
+    excess = 2.0 * s - w
+    gap = 0.0 if h + 2.0 * s == w else h + excess
+    return (w - h) * gap * (w + h) * (h - excess)
 
 
 def _center_sine(spec: DesignSpec) -> float:

@@ -204,8 +204,12 @@ def area_max_oracle(arc_length: float, strip_width: float,
             MAX_GRID_POINTS, bad scalars, or an area at the argmax beyond
             the float range.
         OracleMismatch: argmax farther than one grid step from the
-            clamped root; indicates a bug, never a property of valid
-            inputs.
+            clamped root.  Valid inputs can raise it near 10**8 points:
+            there the float64 areas near the maximum tie within their
+            roundoff over more than one grid step, so the raw argmax can
+            land just past one step from the root (``S_c =
+            5.851191599851277``, ``L = 1.972885156618516``: 6.73e-08 past
+            a 6.28e-08 step).
     """
     grid_points = check_number(grid_points, "grid_points", "integer")
     if grid_points < 1000:

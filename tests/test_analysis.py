@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from crosssec import analysis
 from crosssec.analysis import (area_ratio, ergonomic_index, eversion_force,
                                sweep_constant_perimeter, total_area)
 from crosssec.errors import DegeneratePolygon
@@ -83,6 +84,21 @@ class TestSweep:
             sweep_constant_perimeter(100.0, [], [0.5])
         with pytest.raises(ValueError, match="non-empty"):
             sweep_constant_perimeter(100.0, [1.0], [])
+
+    def test_cell_cap(self, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_SWEEP_CELLS", 6)
+        at_cap = sweep_constant_perimeter(558.0, [127.0, 152.0],
+                                          [0.0, 50.8, 76.2])
+        assert len(at_cap) == 6 and all(r.feasible for r in at_cap)
+        # one past the cap is refused before any cell is solved
+        solved = []
+        monkeypatch.setattr(analysis, "_sweep_cell",
+                            lambda *cell: solved.append(cell))
+        with pytest.raises(ValueError, match=r"^sweep of 7 x 1 cells exceeds "
+                           r"MAX_SWEEP_CELLS = 6$"):
+            sweep_constant_perimeter(558.0, [100.0 + i for i in range(7)],
+                                     [50.8])
+        assert solved == []
 
 
 class TestEversionForce:

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (FROZEN, INVERSE_190_FAB, INVERSE_190_SPEC, REPO,
                       rel_err, run_cli)
-from crosssec import cli
+from crosssec import analysis, cli
 
 
 class TestInverse:
@@ -156,8 +156,8 @@ class TestForwardShape:
 
 class TestArcResolution:
     @pytest.mark.parametrize("value, message", [
-        ("nan", "arc resolution must be positive and finite"),
-        ("inf", "arc resolution must be positive and finite"),
+        ("nan", "--arc-resolution must be positive and finite, got nan"),
+        ("inf", "--arc-resolution must be positive and finite, got inf"),
         ("1e-300", "segments at max_sagitta 1e-300"),
     ])
     def test_unusable_flag_exit_1(self, value, message):
@@ -177,7 +177,7 @@ class TestArcResolution:
         out = run_cli("shape", "--config", job)
         assert out.returncode == 1
         assert len(out.stderr.strip().splitlines()) == 1
-        assert "arc resolution must be" in out.stderr
+        assert "arc_resolution_mm must be" in out.stderr
 
     @pytest.mark.parametrize("value, message", [
         (None, "grid_points must be a number"),
@@ -198,15 +198,20 @@ class TestArcResolution:
         assert len(out.stderr.strip().splitlines()) == 1
         assert message in out.stderr
 
-    def test_integral_float_config_values_accepted(self, tmp_path):
+    @pytest.mark.parametrize("oracle, flags, grid_points", [
+        ({"grid_points": 1e4}, [], 10000),
+        # a flag takes what its config field takes
+        ({}, ["--grid-points", "1e6"], 1_000_000),
+    ])
+    def test_integral_float_values_accepted(self, tmp_path, oracle, flags,
+                                            grid_points):
         job = tmp_path / "job.json"
         job.write_text(json.dumps({
-            "fab": {"S_c_mm": 152.0, "L_mm": 76.2},
-            "oracle": {"grid_points": 1e4}}),
+            "fab": {"S_c_mm": 152.0, "L_mm": 76.2}, "oracle": oracle}),
             encoding="utf-8")
-        out = run_cli("oracle", "--config", job)
+        out = run_cli("oracle", "--config", job, *flags)
         assert out.returncode == 0, out.stderr
-        assert json.loads(out.stdout)["grid_points"] == 10000
+        assert json.loads(out.stdout)["grid_points"] == grid_points
 
 
 class TestTypedJobNumbers:
@@ -244,6 +249,19 @@ class TestTypedJobNumbers:
         ("sweep", {"sweep": {"perimeter_mm": -558, "S_c_mm": [127],
                              "L_mm": [50.8]}},
          "perimeter_mm must be positive and finite"),
+        # a section force reads is checked also where the run takes its
+        # area from elsewhere
+        ("force", {"force": {"pressure_kpa": 34, "area_mm2": 100},
+                   "fab": {"S_c_mm": None}}, "fab.S_c_mm must be a number"),
+        ("force", {"force": {"pressure_kpa": 34, "area_mm2": 100},
+                   "spec": {"w_mm": "x"}}, "spec.w_mm must be a number"),
+        ("force", {"force": {"pressure_kpa": 34},
+                   "fab": {"S_c_mm": 152, "S_s_mm": 127, "L_mm": 76.2},
+                   "spec": {"H_s_mm": "x"}}, "spec.H_s_mm must be a number"),
+        ("force", {"force": {"pressure_kpa": 34},
+                   "fab": {"S_c_mm": 152, "S_s_mm": 127, "L_mm": 76.2},
+                   "spec": {"H_c_mm": -1}},
+         "spec.H_c_mm must be positive and finite"),
     ])
     def test_bad_number_exit_1(self, tmp_path, capsys, mode, config, message):
         job = tmp_path / "job.json"
@@ -474,6 +492,22 @@ class TestSweep:
         assert out.returncode == 1
         assert out.stderr.strip()
 
+    @pytest.mark.parametrize("arcs, code", [("127,152", 0),
+                                            ("127,152,160", 1)])
+    def test_cell_cap(self, monkeypatch, capsys, arcs, code):
+        # at the cap, and one row of cells past it
+        monkeypatch.setattr(analysis, "MAX_SWEEP_CELLS", 4)
+        assert cli.main(["sweep", "--perimeter", "558", "--sc", arcs,
+                         "--l", "50.8,76.2"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == ""
+            assert err == ("crosssec: error: sweep of 3 x 2 cells exceeds "
+                           "MAX_SWEEP_CELLS = 4\n")
+        else:
+            assert err == ""
+            assert len(out.splitlines()) == 5
+
     def test_csv_file_matches_stdout(self, tmp_path):
         path = tmp_path / "sweep.csv"
         out = run_cli("sweep", "--perimeter", 558, "--sc", "152",
@@ -535,8 +569,8 @@ class TestOracle:
         assert "grid_points <= 100000000 required" in out.stderr
 
     def test_huge_arc_area_overflow_exit_1(self):
-        # S_c^2 overflows, so an unscaled scan ties every area at inf and
-        # picks the first angle; the scan is right, the area is not a float
+        # the scan compares areas scaled by a power of two, so it finds the
+        # maximum, but the area there, about S_c^2, is beyond the float range
         out = run_cli("oracle", "--sc", "1e160", "--l", 1,
                       "--grid-points", 1000)
         assert out.returncode == 1
@@ -546,7 +580,8 @@ class TestOracle:
             "float range"]
 
     def test_tiny_arc_finds_the_root(self):
-        # S_c^2 underflows to 0, which tied every area of an unscaled scan
+        # S_c^2 underflows to 0, but the scan compares areas scaled by a
+        # power of two, which do not all tie at 0
         out = run_cli("oracle", "--sc", "1e-170", "--l", 0,
                       "--grid-points", 1000)
         assert out.returncode == 0, out.stderr

@@ -181,7 +181,10 @@ class TestForceRecord:
         assert area == json.loads(capsys.readouterr().out)["area_total_mm2"]
 
     @pytest.mark.parametrize("flags, message", [
-        (["--arc-resolution", "nan"], "arc resolution must be positive"),
+        (["--arc-resolution", "nan"], "--arc-resolution must be positive"),
+        # the fab and spec the run does not use
+        (["--sc", "-1"], "--sc must be positive and finite, got -1.0"),
+        (["--hc", "inf"], "--hc must be positive and finite, got inf"),
     ])
     def test_settings_checked_with_a_given_area(self, capsys, flags, message):
         assert cli.main(["force", "--pressure-kpa", "2", "--area-mm2", "100",
@@ -202,7 +205,7 @@ def test_compare_outline_path_must_be_a_string(tmp_path, capsys):
     assert cli.main(["compare", "--config", str(job)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "compare outline must be a path string, got 0" in err
+    assert "compare.outline_csv must be a path string, got 0" in err
 
 
 #: A job config key of each mode, valid where another mode reads it.
@@ -318,13 +321,12 @@ _READ_JOBS = [
     ("force", {"force": {"pressure_kpa": 2}, "fab": _FAB}),
     ("force", {"force": {"pressure_kpa": 2}, "spec": _SPEC}),
 ]
-#: What a null field's message says, where it is not ``<field> must be a
+#: What a null field's message says, where it is not ``<key> must be a
 #: number``.
 _NULL_MESSAGES = {
-    "arc_resolution_mm": "arc resolution must be a number",
     "sweep.S_c_mm": "sweep.S_c_mm: expected a list of numbers",
     "sweep.L_mm": "sweep.L_mm: expected a list of numbers",
-    "compare.outline_csv": "compare outline must be a path string",
+    "compare.outline_csv": "compare.outline_csv must be a path string",
 }
 
 
@@ -364,11 +366,8 @@ def test_null_field_exit_1(tmp_path, capsys, mode, config, key):
     assert cli.main([mode, "--config", str(job)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    message = _NULL_MESSAGES.get(
-        key, f"{key.rpartition('.')[2]} must be a number")
-    assert err.startswith("crosssec: error: ")
-    assert err.endswith(f"{message}, got None\n")
-    assert err.count("\n") == 1
+    message = _NULL_MESSAGES.get(key, f"{key} must be a number")
+    assert err == f"crosssec: error: {message}, got None\n"
 
 
 class TestCappedSolve:
