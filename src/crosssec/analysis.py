@@ -16,8 +16,8 @@ from .polygon import Polygon
 from .solver import forward_geometry
 
 #: Largest sweep, in (S_c, L) cells.  A cell of a paper-scale sweep takes
-#: about 70 us and 0.5 KB (2-CPU Xeon VM), so a capped sweep ends in about
-#: 7 s within 100 MB.
+#: about 50 us and 0.5 KB (2-CPU Xeon VM), so a capped sweep ends in about
+#: 5 s within 100 MB.
 MAX_SWEEP_CELLS = 100_000
 
 

@@ -16,7 +16,7 @@ Units are mm, mm^2 and radians throughout; kPa and N appear only in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -429,18 +429,18 @@ def _assemble(spec: DesignSpec, fab: FabricationParams,
     width_s = r_s * (1.0 + math.cos(0.5 * conj))
     width = width_c + 2.0 * width_s
     center_x = 0.5 * width - r_s
-    right = SideChannel(
+    shared = dict(
         radius=r_s,
         arc_angle=theta_s,
         conjugate_angle=conj,
         conjugate_arc_length=math.pi * s - fab.side_arc_length,
         width=width_s,
         strip_width=fab.strip_width,
-        center_x=center_x,
-        area=0.0,
     )
-    right = replace(right, area=side_channel_polygon(right, arc_resolution).area())
-    left = replace(right, center_x=-center_x)
+    area = side_channel_polygon(
+        SideChannel(**shared, center_x=center_x, area=0.0), arc_resolution).area()
+    right = SideChannel(**shared, center_x=center_x, area=area)
+    left = SideChannel(**shared, center_x=-center_x, area=area)
     return CrossSection(spec=spec, fab=fab, center=center,
                         sides=(left, right), width=width)
 

@@ -61,19 +61,35 @@ def arc_points(cx: float, cy: float, radius: float, start_angle: float,
             f"arc of radius {radius:.6g} mm over {span:.6g} rad needs more "
             f"than {MAX_ARC_SEGMENTS} segments at max_sagitta {max_sagitta!r} mm")
     n = max(2, math.ceil(span / d_max), math.ceil(span / (math.pi / 3.0)))
-    t = np.linspace(start_angle, end_angle, n + 1)
-    return np.column_stack((cx + radius * np.cos(t), cy + radius * np.sin(t)))
+    # the steps of np.linspace, so each angle is bit for bit its value;
+    # its path for a step that underflows to 0 is not needed, since a span
+    # that small gets n = 2, and then only a zero span has a zero step
+    t = np.arange(n + 1, dtype=float)
+    t *= (end_angle - start_angle) / n
+    t += start_angle
+    t[-1] = end_angle
+    # column-major, so each coordinate is written in place as one
+    # contiguous run
+    pts = np.empty((n + 1, 2), order="F")
+    x = np.cos(t, out=pts[:, 0])
+    x *= radius
+    x += cx
+    y = np.sin(t, out=pts[:, 1])
+    y *= radius
+    y += cy
+    return pts
 
 
-def _unit_frame(points: np.ndarray) -> tuple[np.ndarray, int]:
-    """The vertices times 2**-e, which puts them in [-1, 1], and e.
+def _unit_frame(points: np.ndarray, peak: float) -> tuple[np.ndarray, int]:
+    """The vertices times 2**-e, which puts them in [-1, 1], and e, from
+    ``peak``, their largest absolute coordinate.
 
     A power of two scales exactly (but for vertices that become
     subnormal, far below the resolution of the largest), so products of
     the scaled vertices keep their signs and digits, and none overflows,
     nor, for a tiny outline, underflows.
     """
-    e = math.frexp(float(np.max(np.abs(points))))[1]
+    e = math.frexp(peak)[1]
     scaled = np.ldexp(points, -e)
     scaled.flags.writeable = False
     return scaled, e
@@ -82,10 +98,12 @@ def _unit_frame(points: np.ndarray) -> tuple[np.ndarray, int]:
 def _shoelace(scaled: np.ndarray) -> float:
     """Signed area of unit-scaled vertices, shifted so that the first
     lies at the origin; the closing edge's term is then zero."""
-    pts = scaled - scaled[0]
-    x = pts[:, 0]
-    y = pts[:, 1]
-    return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
+    x = scaled[:, 0] - scaled[0, 0]
+    y = scaled[:, 1] - scaled[0, 1]
+    terms = x[:-1] * y[1:]
+    terms -= x[1:] * y[:-1]
+    # the pairwise sum that np.sum runs
+    return 0.5 * float(np.add.reduce(terms))
 
 
 class Polygon:
@@ -102,7 +120,9 @@ class Polygon:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must be an (n, 2) array of x, y")
-        if not np.all(np.isfinite(pts)):
+        # the largest |coordinate|, NaN if any is NaN; 0 if there are none
+        peak = float(np.abs(pts).max(initial=0.0))
+        if not math.isfinite(peak):
             raise ValueError("polygon vertices must be finite")
         if len(pts) >= 2 and pts[0, 0] == pts[-1, 0] and pts[0, 1] == pts[-1, 1]:
             pts = pts[:-1]
@@ -111,6 +131,7 @@ class Polygon:
         pts = np.array(pts)
         pts.flags.writeable = False
         self._points = pts
+        self._peak = peak  # a dropped closing vertex repeats the first
         self._frame = None  # (unit-scaled vertices, e), on first use
         self._scaled_area = None  # their shoelace sum, on first use
 
@@ -127,7 +148,7 @@ class Polygon:
 
     def _unit_scaled(self) -> tuple[np.ndarray, int]:
         if self._frame is None:
-            self._frame = _unit_frame(self._points)
+            self._frame = _unit_frame(self._points, self._peak)
         return self._frame
 
     def signed_area(self) -> float:

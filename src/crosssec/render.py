@@ -19,9 +19,7 @@ from .serialize import fmt
 
 def _f(value: float) -> str:
     # snap rounding dust (and -0.0) so coordinates print cleanly
-    if abs(value) < 1e-9:
-        value = 0.0
-    return fmt(value, 9)
+    return f"{0.0 if -1e-9 < value < 1e-9 else value:.9g}"
 
 
 def _arc_path(cx: float, cy: float, radius: float, angles, css: str) -> str:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
@@ -34,8 +33,6 @@ SWEEP_CSV_HEADER = ("S_c_mm", "L_mm", "S_s_mm", "H_c_mm", "H_s_mm", "w_mm",
 
 def fmt(value: float, digits: int = 9) -> str:
     """Format a float at ``digits`` significant digits; inf -> "inf"."""
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
     return f"{value:.{digits}g}"
 
 

@@ -166,8 +166,11 @@ def forward_geometry(fab: FabricationParams,
     """Inflated geometry realized by the given fabrication parameters.
 
     Solves both channels against the shared strip width, then assembles
-    the full section; the recovered spec round-trips through the
-    closed-form inverse.  Solver failures carry which channel raised.
+    the full section.  The recovered spec need not lie in the closed-form
+    inverse's domain: a side arc shorter than a half circle lies on a
+    circle wider than the section (``w <= H_s``), and
+    :func:`~crosssec.geometry.inverse_design` refuses such a spec.
+    Solver failures carry which channel raised.
 
     Raises:
         NoBracket / NonConvergence: from either channel's solve, tagged

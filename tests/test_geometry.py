@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,11 +159,22 @@ class TestBuildCrossSection:
         assert rel_err(section.sides[1].area, f["A_s"]) < 1e-4
         assert rel_err(section.width, f["w"]) < 1e-12
 
-    def test_sides_mirror(self, s1_section):
-        left, right = s1_section.sides
-        assert left.center_x == -right.center_x
-        assert left.area == right.area
-        assert left.radius == right.radius
+    def test_sides_mirror(self):
+        # the two sides differ only in the sign of center_x, and carry the
+        # area of the right side's polygon, bit for bit
+        rng = np.random.default_rng(31)
+        fabs = [FROZEN[key]["fab"] for key in ("S1", "S2", "S3")]
+        for _ in range(200):
+            s_c = 10.0 ** rng.uniform(-3.0, 6.0)
+            s_s = s_c * rng.uniform(0.2, 3.0)
+            fabs.append((s_c, s_s, s_s * rng.uniform(0.0, 0.95)))
+        for fab in fabs:
+            for arc_resolution in (1e-4, 1e-2 * fab[1]):
+                left, right = forward_geometry(FabricationParams(*fab),
+                                               arc_resolution).sides
+                assert left == replace(right, center_x=-right.center_x)
+                area = side_channel_polygon(right, arc_resolution).area()
+                assert right.area.hex() == area.hex()
 
     def test_strip_segments(self, s1_section):
         (x0, y0), (x1, y1) = s1_section.strip_segments[1]

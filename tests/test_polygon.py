@@ -78,6 +78,65 @@ class TestArcPoints:
             arc_points(0, 0, 1.0, 0, 1e12, 100.0)
 
 
+def reference_arc_points(cx, cy, radius, start, end, n) -> np.ndarray:
+    """Reference: n chords through np.linspace and np.column_stack."""
+    t = np.linspace(start, end, n + 1)
+    return np.column_stack((cx + radius * np.cos(t), cy + radius * np.sin(t)))
+
+
+def hexes(points) -> list[str]:
+    return [float(v).hex() for v in np.ravel(points)]
+
+
+class TestArcPointsBitForBit:
+    # arc_points takes np.linspace's steps and writes cos and sin in
+    # place; every vertex is bit for bit that of the reference
+
+    @staticmethod
+    def check(cx, cy, radius, start, end, tol) -> np.ndarray:
+        pts = arc_points(cx, cy, radius, start, end, tol)
+        want = reference_arc_points(cx, cy, radius, start, end, len(pts) - 1)
+        assert pts.shape == want.shape
+        assert hexes(pts) == hexes(want)
+        return pts
+
+    def test_seeded_arcs(self):
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            cx, cy = rng.uniform(-1e3, 1e3, 2)
+            radius = 10.0 ** rng.uniform(-6, 6)
+            start = rng.uniform(-10.0, 10.0)
+            end = start + rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 2.0 * math.pi)
+            self.check(cx, cy, radius, start, end,
+                       radius * 10.0 ** rng.uniform(-8, 1))
+
+    @pytest.mark.parametrize("start, end", [
+        (-0.01, 0.01), (0.01, -0.01), (0.3, 0.3), (0.0, 5e-324),
+        (-5e-324, 0.0), (1.0, 1.0 + 2.0**-52)])
+    def test_two_chord_floor(self, start, end):
+        assert len(self.check(1.5, -2.0, 3.0, start, end, 1e-3)) == 3
+
+    @pytest.mark.parametrize("start, end", [
+        (2.5, -1.0), (math.pi + 1.2, math.pi - 1.2), (7.0, -7.0)])
+    def test_descending_spans(self, start, end):
+        pts = self.check(4.0, 1.0, 2.0, start, end, 1e-4)
+        assert len(pts) > 3
+
+    @pytest.mark.parametrize("start, end", [
+        (-math.pi, math.pi), (0.0, 2.0 * math.pi), (math.pi, -math.pi)])
+    def test_full_circle(self, start, end):
+        self.check(3.0, 0.0, 2.0, start, end, 1e-4)
+
+    @pytest.mark.parametrize("cx, cy", [(-7.25, -3.5), (-1e6, 0.0), (-0.0, -0.0)])
+    def test_negative_centers(self, cx, cy):
+        self.check(cx, cy, 1.25, 2.0, 4.5, 1e-5)
+
+    def test_fine_sampling(self):
+        # about 10**5 chords on a full circle
+        pts = self.check(-2.0, 0.5, 1.0, -math.pi, math.pi, 5e-10)
+        assert 90_000 < len(pts) < 110_000
+
+
 class TestPolygon:
     def test_square_area(self):
         square = Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -98,9 +157,24 @@ class TestPolygon:
         with pytest.raises(ValueError, match="at least 3"):
             Polygon([(0, 0), (1, 0), (0, 0)])
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            Polygon([(0, 0), (1, math.nan), (0, 1)])
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value, column):
+        points = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        points[1, column] = value
+        with pytest.raises(ValueError, match="polygon vertices must be finite"):
+            Polygon(points)
+
+    def test_empty_needs_three_vertices(self):
+        with pytest.raises(ValueError, match="at least 3"):
+            Polygon(np.empty((0, 2)))
+
+    def test_all_zero_triangle_has_zero_area(self):
+        # three vertices at the origin and the closing repeat of the first
+        poly = Polygon(np.zeros((4, 2)))
+        assert len(poly) == 3
+        assert poly.signed_area() == 0.0
+        assert poly.area() == 0.0
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError, match=r"\(n, 2\)"):

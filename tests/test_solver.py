@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crosssec import cli, solver
-from crosssec.errors import NoBracket, NonConvergence
+from crosssec.errors import InfeasibleSpec, NoBracket, NonConvergence
 from crosssec.geometry import FabricationParams
 from crosssec.solver import (OracleResult, area_max_oracle, forward_geometry,
                              solve_center_arc_angle, solve_side_height)
@@ -171,6 +171,20 @@ class TestForwardGeometry:
                 (fab.center_arc_length, fab.side_arc_length, fab.strip_width),
                 FROZEN["S3"]["fab"]):
             assert rel_err(got, want) < 1e-9
+
+    def test_short_side_arc_spec_outside_the_inverse(self):
+        # a side arc shorter than a half circle lies on a circle wider
+        # than the section, so the spec it gives has w <= H_s, outside
+        # the inverse's domain: the forward answer stands, no round trip
+        from crosssec.geometry import inverse_design
+        section = forward_geometry(FabricationParams(
+            252.0061407120871, 91.35196381680731, 90.96578888370378))
+        assert section.spec.width == pytest.approx(207.7, abs=0.05)
+        assert section.spec.side_height == pytest.approx(573.2, abs=0.05)
+        assert section.sides[1].arc_angle < math.pi
+        with pytest.raises(InfeasibleSpec, match="w > H_s") as info:
+            inverse_design(section.spec)
+        assert info.value.violations == ("w > H_s",)
 
 
 class TestAreaMaxOracle:
