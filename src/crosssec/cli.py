@@ -105,7 +105,7 @@ def _build_parser() -> _Parser:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             config = json.load(handle)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

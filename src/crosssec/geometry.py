@@ -404,21 +404,18 @@ def cross_section_outline(section: CrossSection,
     return Polygon(pts)
 
 
-def _assemble(spec: DesignSpec, fab: FabricationParams,
-              arc_resolution: float) -> CrossSection:
-    """Build the CrossSection records for a consistent (spec, fab) pair."""
-    h, s, w = spec.center_height, spec.side_height, spec.width
+def _assemble(fab: FabricationParams, center_height: float, side_height: float,
+              arc_resolution: float, spec: DesignSpec | None = None) -> CrossSection:
+    """Build the CrossSection records from the fabrication lengths and
+    the channel heights they inflate to.
+
+    The section records ``spec``, or when none is given the
+    ``DesignSpec(center_height, side_height, width)`` it derives.
+    """
+    h, s = center_height, side_height
     r_c = 0.5 * h
     theta_c = fab.center_arc_length / r_c
     width_c = h * math.sin(fab.center_arc_length / h)
-    center = CenterChannel(
-        radius=r_c,
-        arc_angle=theta_c,
-        chord_angle=math.pi - theta_c,
-        width=width_c,
-        strip_width=fab.strip_width,
-        area=center_area(fab.center_arc_length, fab.strip_width, theta_c),
-    )
     r_s = 0.5 * s
     theta_s = fab.side_arc_length / r_s
     if _FULL_TURN < theta_s <= _FULL_TURN + _FULL_TURN_SLACK:
@@ -428,6 +425,16 @@ def _assemble(spec: DesignSpec, fab: FabricationParams,
     conj = 2.0 * math.pi - theta_s
     width_s = r_s * (1.0 + math.cos(0.5 * conj))
     width = width_c + 2.0 * width_s
+    if spec is None:
+        spec = DesignSpec(h, s, width)
+    center = CenterChannel(
+        radius=r_c,
+        arc_angle=theta_c,
+        chord_angle=math.pi - theta_c,
+        width=width_c,
+        strip_width=fab.strip_width,
+        area=center_area(fab.center_arc_length, fab.strip_width, theta_c),
+    )
     center_x = 0.5 * width - r_s
     shared = dict(
         radius=r_s,
@@ -456,4 +463,5 @@ def build_cross_section(spec: DesignSpec,
         InfeasibleSpec: propagated from :func:`inverse_design`.
     """
     fab = inverse_design(spec)
-    return _assemble(spec, fab, arc_resolution)
+    return _assemble(fab, spec.center_height, spec.side_height, arc_resolution,
+                     spec)

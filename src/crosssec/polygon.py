@@ -186,16 +186,16 @@ class Polygon:
         are dropped, and the survivors get the orientation test.  Cost
         is O(n log n + k) for k pairs with overlapping bounding boxes,
         which is O(n^2) time for adversarial outlines such as a zig-zag
-        whose edges all span the same x-range.  Pairs are generated and
-        tested ``_PAIR_CHUNK`` at a time, returning at the first chunk
-        with a crossing, so memory stays O(n) however large k is.
+        whose edges all span the same x-range.
 
-        The sorted edges are held as four flat arrays of endpoint
-        coordinates, and each chunk's pairs are gathered from them into
-        buffers allocated once per call.  The orientation tests run on
-        the kept unit-scaled frame, the vertices scaled into [-1, 1], so
-        that no orientation overflows into an inf - inf = NaN that would
-        compare as "no crossing", at any offset or size.
+        The pairs are listed by offset: for d = 1, 2, ... each edge that
+        overlaps the edge d places on in the sorted order is paired with
+        it, ``_PAIR_CHUNK`` pairs at a time, returning at the first piece
+        with a crossing, so memory stays O(n) however large k is.  The
+        orientation tests run on the kept unit-scaled frame, the vertices
+        scaled into [-1, 1], so that no orientation overflows into an
+        inf - inf = NaN that would compare as "no crossing", at any
+        offset or size.
         """
         pts, _ = self._unit_scaled()
         n = len(pts)
@@ -210,61 +210,36 @@ class Polygon:
         x_hi = np.maximum(ax, bx)
         y_lo = np.minimum(ay, by)
         y_hi = np.maximum(ay, by)
-        # Sorted edge i overlaps in x exactly the edges i+1 .. stop[i]-1.
-        # Number those pairs row by row, row i starting at first[i], so
-        # pair k of row i is edge j = i + 1 + k - first[i]; a chunk of
-        # pair numbers k0 .. k1-1 then spans rows r0 .. r1-1.
-        rows = np.arange(n)
-        stop = np.searchsorted(x_lo, x_hi, side="right")
-        first = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(stop - rows - 1, out=first[1:])
-        skip = rows - first[:-1]
-        total = int(first[-1])
-        # Per-chunk work arrays are reused: allocated afresh, their pages
-        # are faulted in again whenever the allocator has returned them to
-        # the OS, which made a 20k-vertex zig-zag 2-3x slower (glibc).
-        size = min(total, _PAIR_CHUNK)
-        ramp = np.arange(1, size + 1)
-        j_buf = np.empty(size, dtype=np.int64)
-        lo_buf = np.empty(size)
-        hi_buf = np.empty(size)
-        near_buf = np.empty(size, dtype=bool)
-        keep_buf = np.empty(size, dtype=bool)
-        ends = np.empty((8, size))
-
-        def take(values, index, buf):
-            # index is in range by construction; "clip" skips the check
-            return np.take(values, index, out=buf[:len(index)], mode="clip")
-
-        for k0 in range(0, total, _PAIR_CHUNK):
-            k1 = min(k0 + _PAIR_CHUNK, total)
-            r0 = int(np.searchsorted(first, k0, side="right")) - 1
-            r1 = int(np.searchsorted(first, k1 - 1, side="right"))
-            i = np.repeat(rows[r0:r1], np.diff(np.clip(first[r0:r1 + 1], k0, k1)))
-            j = take(skip, i, j_buf)
-            j += ramp[:k1 - k0]
-            j += k0
-            # keep the pairs whose y-extents overlap too
-            near = np.less_equal(take(y_lo, j, lo_buf), take(y_hi, i, hi_buf),
-                                 out=near_buf[:k1 - k0])
-            near &= np.less_equal(take(y_lo, i, lo_buf), take(y_hi, j, hi_buf),
-                                  out=keep_buf[:k1 - k0])
-            hits = np.flatnonzero(near)
-            i = i[hits]
-            j = j[hits]
-            aix, aiy = take(ax, i, ends[0]), take(ay, i, ends[1])
-            bix, biy = take(bx, i, ends[2]), take(by, i, ends[3])
-            ajx, ajy = take(ax, j, ends[4]), take(ay, j, ends[5])
-            bjx, bjy = take(bx, j, ends[6]), take(by, j, ends[7])
-            # orientations: the z of (p - o) x (q - o), positive when q
-            # lies left of the ray o -> p, for edge i as o -> p and q = a_j,
-            # b_j, then for edge j and q = a_i, b_i
-            ex, ey = bix - aix, biy - aiy
-            d1 = ex * (ajy - aiy) - ey * (ajx - aix)
-            d2 = ex * (bjy - aiy) - ey * (bjx - aix)
-            ex, ey = bjx - ajx, bjy - ajy
-            d3 = ex * (aiy - ajy) - ey * (aix - ajx)
-            d4 = ex * (biy - ajy) - ey * (bix - ajx)
-            if np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0)):
-                return False
+        # Sorted edge i overlaps in x exactly the next reach[i] - 1 edges.
+        # In order of falling reach, the edges that reach past offset d
+        # are a prefix of by_reach, counts[d] long; their y-extents are
+        # kept in that order, so that a piece reads them as slices.
+        reach = np.searchsorted(x_lo, x_hi, side="right") - np.arange(n)
+        by_reach = np.argsort(-reach, kind="stable")
+        falling = reach[by_reach]
+        counts = np.searchsorted(-falling, -np.arange(falling[0]), side="left")
+        lo_i, hi_i = y_lo[by_reach], y_hi[by_reach]
+        for d, count in enumerate(counts.tolist()[1:], start=1):
+            for start in range(0, count, _PAIR_CHUNK):
+                stop = min(start + _PAIR_CHUNK, count)
+                i = by_reach[start:stop]
+                j = i + d
+                # keep the pairs whose y-extents overlap too
+                near = y_lo[j] <= hi_i[start:stop]
+                near &= lo_i[start:stop] <= y_hi[j]
+                i = i[near]
+                j = j[near]
+                aix, aiy, bix, biy = ax[i], ay[i], bx[i], by[i]
+                ajx, ajy, bjx, bjy = ax[j], ay[j], bx[j], by[j]
+                # orientations: the z of (p - o) x (q - o), positive when q
+                # lies left of the ray o -> p, for edge i as o -> p and
+                # q = a_j, b_j, then for edge j and q = a_i, b_i
+                ex, ey = bix - aix, biy - aiy
+                d1 = ex * (ajy - aiy) - ey * (ajx - aix)
+                d2 = ex * (bjy - aiy) - ey * (bjx - aix)
+                ex, ey = bjx - ajx, bjy - ajy
+                d3 = ex * (aiy - ajy) - ey * (aix - ajx)
+                d4 = ex * (biy - ajy) - ey * (bix - ajx)
+                if np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0)):
+                    return False
         return True

@@ -15,7 +15,7 @@ from . import kernels
 from ._arcmath import (center_area, center_area_derivative, check_arc,
                        strip_fit_residual)
 from .errors import NoBracket, NonConvergence, OracleMismatch, check_number
-from .geometry import CrossSection, DesignSpec, FabricationParams, \
+from .geometry import CrossSection, FabricationParams, \
     DEFAULT_ARC_RESOLUTION, _assemble
 
 __all__ = [
@@ -179,11 +179,7 @@ def forward_geometry(fab: FabricationParams,
     theta_c = solve_center_arc_angle(fab.center_arc_length, fab.strip_width)
     center_height = 2.0 * fab.center_arc_length / theta_c
     side_height = solve_side_height(fab.side_arc_length, fab.strip_width)
-    width_c = center_height * math.sin(fab.center_arc_length / center_height)
-    theta_s = 2.0 * fab.side_arc_length / side_height
-    width_s = 0.5 * side_height * (1.0 + math.cos(math.pi - 0.5 * theta_s))
-    spec = DesignSpec(center_height, side_height, width_c + 2.0 * width_s)
-    return _assemble(spec, fab, arc_resolution)
+    return _assemble(fab, center_height, side_height, arc_resolution)
 
 
 def area_max_oracle(arc_length: float, strip_width: float,

@@ -196,7 +196,7 @@ def reference_forward(arc_c, arc_s, strip, guess):
     h_c, h_s = arc_c / half_c, arc_s / u
     theta = 2 * half_c
     w_c, w_s = h_c * mp.sin(half_c), h_s * (1 - mp.cos(u)) / 2
-    # the spec's width, and the section's, which _assemble sums again
+    # the spec's width and the section's, one sum in _assemble
     return {
         "H_c": h_c, "H_s": h_s, "w": w_c + 2 * w_s, "width": w_c + 2 * w_s,
         "w_c": w_c, "w_s": w_s, "theta_c": theta, "theta_s": 2 * u,

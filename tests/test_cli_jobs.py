@@ -50,6 +50,26 @@ def test_docs_job_output_frozen(tmp_path, monkeypatch, capsys, mode):
         ["job.json", *names.values()])
 
 
+@pytest.mark.parametrize("mode", DOCS_MODES)
+def test_config_byte_order_mark_skipped(tmp_path, capsys, mode):
+    # a UTF-8 byte-order mark before the JSON changes nothing, as in an
+    # outline file
+    config = json.loads((EXAMPLES / f"job_{mode}.json").read_text(
+        encoding="utf-8"))
+    config.pop("output", None)
+    if "compare" in config:
+        config["compare"]["outline_csv"] = str(
+            REPO / config["compare"]["outline_csv"])
+    text = json.dumps(config).encode("utf-8")
+    runs = []
+    for name, data in (("plain.json", text), ("bom.json", b"\xef\xbb\xbf" + text)):
+        (tmp_path / name).write_bytes(data)
+        assert cli.main([mode, "--config", str(tmp_path / name)]) == 0
+        runs.append(capsys.readouterr())
+    assert runs[0].err == runs[1].err == ""
+    assert runs[1].out == runs[0].out != ""
+
+
 #: Every option each mode takes: a flag the mode does not read must not
 #: come back unnoticed.
 MODE_FLAGS = {

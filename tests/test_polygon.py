@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosssec import polygon
+from crosssec import FabricationParams, forward_geometry, polygon
 from crosssec.errors import DegeneratePolygon
+from crosssec.geometry import cross_section_outline
 from crosssec.polygon import MAX_ARC_SEGMENTS, Polygon, arc_points
 
 
@@ -339,7 +340,7 @@ class TestIsSimpleSweep:
     @settings(max_examples=200, deadline=None)
     @given(_polygons(_small_int, 16), st.integers(1, 5))
     def test_matches_all_pairs_across_chunk_boundaries(self, points, chunk):
-        # tiny chunks split rows of candidate pairs between chunks
+        # tiny pieces split the edges of one offset step between pieces
         poly = _polygon_or_none(points)
         if poly is not None:
             with mock.patch.object(polygon, "_PAIR_CHUNK", chunk):
@@ -358,6 +359,30 @@ class TestIsSimpleSweep:
                                           radius * np.sin(angle)))
             poly = Polygon(points)
             assert poly.is_simple() == all_pairs_is_simple(poly.points)
+
+    def test_matches_all_pairs_on_section_outlines(self):
+        # smooth model outlines of the compare workload's size, whose
+        # edges each overlap only the next few in x; half get two
+        # consecutive vertices swapped
+        rng = np.random.default_rng(24)
+        answers = set()
+        for trial in range(24):
+            s_c = rng.uniform(50.0, 600.0)
+            s_s = s_c * rng.uniform(0.6, 1.4)
+            section = forward_geometry(FabricationParams(
+                s_c, s_s, s_s * rng.uniform(0.0, 0.8)))
+            vertices = int(rng.integers(300, 1801))
+            points = np.array(cross_section_outline(
+                section, section.width * (2.2 / vertices) ** 2).points)
+            if trial % 2:
+                k = int(rng.integers(len(points)))
+                k1 = (k + 1) % len(points)
+                points[[k, k1]] = points[[k1, k]]
+            poly = Polygon(points)
+            simple = poly.is_simple()
+            assert simple == all_pairs_is_simple(poly.points)
+            answers.add(simple)
+        assert answers == {True, False}
 
     @pytest.mark.parametrize("where", ["first", "middle", "last", "wrap"])
     def test_bowtie_anywhere_is_found(self, where):
