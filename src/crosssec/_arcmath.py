@@ -34,7 +34,7 @@ def series_area(s, l, theta):
     below ``SERIES_CUTOFF``; ``theta`` may be a float or a NumPy array."""
     base = theta / 6.0 - theta**3 / 120.0 + theta**5 / 5040.0
     chord = 0.5 - theta * theta / 48.0 + theta**4 / 3840.0
-    return s * s * base + 2.0 * s * l * chord
+    return s * s * base + s * l * (2.0 * chord)
 
 
 def center_area(arc_length: float, strip_width: float, arc_angle: float) -> float:
@@ -58,7 +58,8 @@ def center_area(arc_length: float, strip_width: float, arc_angle: float) -> floa
         return series_area(s, l, theta)
     base = (theta - math.sin(theta)) / (theta * theta)
     chord = math.sin(0.5 * theta) / theta
-    return s * s * base + 2.0 * s * l * chord
+    # s l first: 2 s l can overflow where the area does not
+    return s * s * base + s * l * (2.0 * chord)
 
 
 def center_area_derivative(arc_length: float, strip_width: float,

@@ -17,7 +17,10 @@ from .solver import forward_geometry
 
 #: Largest sweep, in (S_c, L) cells.  A cell of a paper-scale sweep takes
 #: about 50 us and 0.5 KB (2-CPU Xeon VM), so a capped sweep ends in about
-#: 5 s within 100 MB.
+#: 5 s within 100 MB at that scale only: each cell samples its side arc at
+#: a fixed 1e-4 mm sagitta, so its cost grows with its size (one cell at a
+#: perimeter of 2e9 mm takes up to about 0.15 s and 160 MB).  A closed-form
+#: side area would remove that dependence.
 MAX_SWEEP_CELLS = 100_000
 
 
@@ -60,14 +63,18 @@ class SweepRecord:
     side_height: float | None
     width: float | None
     ergonomic_index: float | None
-    feasible: bool
     failure_reason: str | None
+
+    @property
+    def feasible(self) -> bool:
+        """True iff the cell has geometry (no failure reason)."""
+        return self.failure_reason is None
 
 
 def ergonomic_index(section: CrossSection) -> ErgonomicReport:
     """Upper-profile flatness of a section; larger is flatter."""
     r_c = section.center.radius
-    r_s = section.sides[1].radius
+    r_s = section.side.radius
     side_peak = (0.5 * section.width - r_s, r_s)
     center_peak = (0.0, r_c)
     slope = (center_peak[1] - side_peak[1]) / (center_peak[0] - side_peak[0])
@@ -132,11 +139,11 @@ def _sweep_cell(s_c: float, s_s: float, l: float) -> SweepRecord:
                 side_height=section.spec.side_height,
                 width=section.width,
                 ergonomic_index=ergonomic_index(section).index,
-                feasible=True, failure_reason=None)
+                failure_reason=None)
     return SweepRecord(
         center_arc_length=s_c, strip_width=l, side_arc_length=s_s,
         center_height=None, side_height=None, width=None,
-        ergonomic_index=None, feasible=False, failure_reason=reason)
+        ergonomic_index=None, failure_reason=reason)
 
 
 def eversion_force(pressure_kpa: float, area_mm2: float) -> float:
@@ -160,8 +167,7 @@ def total_area(section: CrossSection,
     The center area is closed form; the side area is recomputed from the
     sampled polygon, so refining ``arc_resolution`` converges.
     """
-    side = section.sides[1]
-    side_area = side_channel_polygon(side, arc_resolution).area()
+    side_area = side_channel_polygon(section.side, arc_resolution).area()
     return section.center.area + 2.0 * side_area
 
 

@@ -227,9 +227,9 @@ def _cmd_inverse(job):
         "fab": fab_to_dict(section.fab),
         "derived": {
             "theta_c_rad": section.center.arc_angle,
-            "theta_s_rad": section.sides[1].arc_angle,
+            "theta_s_rad": section.side.arc_angle,
             "w_c_mm": section.center.width,
-            "w_s_mm": section.sides[1].width,
+            "w_s_mm": section.side.width,
         },
         "feasibility": report_to_dict(report),
     }), None

@@ -16,7 +16,7 @@ Units are mm, mm^2 and radians throughout; kPa and N appear only in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +45,12 @@ def _check_fields(record, kind, *names):
         number = check_number(value, name, kind)
         if number is not value:
             object.__setattr__(record, name, number)
+
+
+def _side_width(radius, arc_angle):
+    # w_s of a side arc; SideChannel.width, and _assemble before the
+    # channel's center is known
+    return radius * (1.0 + math.cos(0.5 * (_FULL_TURN - arc_angle)))
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,6 @@ class FeasibilityReport:
     """Outcome of the closed-form feasibility conditions for a spec.
 
     Attributes:
-        feasible: True iff every condition holds.
         violations: Names of the violated conditions, drawn from
             ``"w > H_s"``, ``"gamma >= 0"``, ``"|arcsin argument| <= 1"``.
         discriminant: The feasibility discriminant (mm^4).
@@ -108,10 +113,14 @@ class FeasibilityReport:
             spec (w_c / H_c); None when undefined (w <= H_s).
     """
 
-    feasible: bool
     violations: tuple[str, ...]
     discriminant: float
     arcsin_argument: float | None
+
+    @property
+    def feasible(self) -> bool:
+        """True iff every condition holds."""
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -122,18 +131,14 @@ class CenterChannel:
         radius: Arc radius, H_c / 2 (mm).
         arc_angle: Angle subtended by each arc (rad); (0, pi] on the
             design path.
-        chord_angle: Angle subtending one strip chord, pi - arc_angle (rad).
         width: Chord width of the channel, w_c = H_c sin(S_c / H_c) (mm).
-        strip_width: Straight-segment length L (mm).
         area: Enclosed area between the arcs and the chords (mm^2),
             closed form.
     """
 
     radius: float
     arc_angle: float
-    chord_angle: float
     width: float
-    strip_width: float
     area: float
 
     def __post_init__(self):
@@ -151,6 +156,11 @@ class CenterChannel:
         """Membrane length of one arc, r * arc_angle (mm)."""
         return self.radius * self.arc_angle
 
+    @property
+    def chord_angle(self) -> float:
+        """Angle subtending one strip chord, pi - arc_angle (rad)."""
+        return math.pi - self.arc_angle
+
 
 @dataclass(frozen=True)
 class SideChannel:
@@ -159,13 +169,9 @@ class SideChannel:
     Attributes:
         radius: Arc radius, H_s / 2 (mm).
         arc_angle: Angle subtended by the membrane arc (rad); (0, 2*pi].
-        conjugate_angle: 2*pi - arc_angle (rad); subtends the virtual
-            complement of the arc on the same circle.
-        conjugate_arc_length: Length of that complement (mm); together with
-            the membrane arc it closes the full circle pi * H_s.
-        width: Width contribution of the channel,
-            w_s = r (1 + cos(conjugate_angle / 2)) (mm).
-        strip_width: Chord length L shared with the center channel (mm).
+        conjugate_arc_length: Length of the arc's virtual complement on the
+            same circle (mm); together with the membrane arc it closes the
+            full circle pi * H_s.
         center_x: Signed x of the arc center, +-(w / 2 - r) (mm).
         area: Region between arc and chord (mm^2), from the sampled
             polygon (no closed form is used on this path).
@@ -173,10 +179,7 @@ class SideChannel:
 
     radius: float
     arc_angle: float
-    conjugate_angle: float
     conjugate_arc_length: float
-    width: float
-    strip_width: float
     center_x: float
     area: float
 
@@ -195,6 +198,17 @@ class SideChannel:
         """Membrane length of the arc, r * arc_angle (mm)."""
         return self.radius * self.arc_angle
 
+    @property
+    def conjugate_angle(self) -> float:
+        """2*pi - arc_angle (rad); subtends the arc's virtual complement."""
+        return _FULL_TURN - self.arc_angle
+
+    @property
+    def width(self) -> float:
+        """Width contribution of the channel,
+        w_s = r (1 + cos(conjugate_angle / 2)) (mm)."""
+        return _side_width(self.radius, self.arc_angle)
+
 
 @dataclass(frozen=True)
 class CrossSection:
@@ -204,17 +218,26 @@ class CrossSection:
         spec: Duct dimensions the section realizes.
         fab: Fabrication parameters it was assembled from.
         center: The center channel.
-        sides: (left, right) side channels; mirror images, differing only
-            in the sign of ``center_x``.
-        width: Assembled overall width w_c + 2 w_s (mm); matches
-            ``spec.width`` to roundoff.
+        side: The right-hand side channel (``center_x`` from ``w / 2 -
+            r``); the left one is its mirror image.
     """
 
     spec: DesignSpec
     fab: FabricationParams
     center: CenterChannel
-    sides: tuple[SideChannel, SideChannel]
-    width: float
+    side: SideChannel
+
+    @property
+    def sides(self) -> tuple[SideChannel, SideChannel]:
+        """(left, right) side channels, differing only in the sign of
+        ``center_x``."""
+        return replace(self.side, center_x=-self.side.center_x), self.side
+
+    @property
+    def width(self) -> float:
+        """Assembled overall width w_c + 2 w_s (mm); matches
+        ``spec.width`` to roundoff."""
+        return self.center.width + 2.0 * self.side.width
 
     @property
     def strip_segments(self) -> tuple[tuple[tuple[float, float], tuple[float, float]], ...]:
@@ -228,7 +251,7 @@ class CrossSection:
     @property
     def total_area(self) -> float:
         """Enclosed area of the whole section, center + both sides (mm^2)."""
-        return self.center.area + self.sides[0].area + self.sides[1].area
+        return self.center.area + self.side.area + self.side.area
 
     @property
     def perimeter(self) -> float:
@@ -291,7 +314,6 @@ def validate_spec(spec: DesignSpec) -> FeasibilityReport:
     if gamma < -gamma_slack:
         violations.append("gamma >= 0")
     return FeasibilityReport(
-        feasible=not violations,
         violations=tuple(violations),
         discriminant=gamma,
         arcsin_argument=sine,
@@ -390,7 +412,7 @@ def cross_section_outline(section: CrossSection,
     area equals center + both side areas.
     """
     c = section.center
-    s = section.sides[1]
+    s = section.side
     half_s = 0.5 * s.arc_angle
     half_c = 0.5 * c.arc_angle
     right = arc_points(s.center_x, 0.0, s.radius, -half_s, half_s, max_sagitta)
@@ -422,34 +444,22 @@ def _assemble(fab: FabricationParams, center_height: float, side_height: float,
         # zero strip width: the side arc closes a full circle, and the
         # division above can round past 2 pi by an ulp or two
         theta_s = _FULL_TURN
-    conj = 2.0 * math.pi - theta_s
-    width_s = r_s * (1.0 + math.cos(0.5 * conj))
-    width = width_c + 2.0 * width_s
+    width = width_c + 2.0 * _side_width(r_s, theta_s)
     if spec is None:
         spec = DesignSpec(h, s, width)
     center = CenterChannel(
         radius=r_c,
         arc_angle=theta_c,
-        chord_angle=math.pi - theta_c,
         width=width_c,
-        strip_width=fab.strip_width,
         area=center_area(fab.center_arc_length, fab.strip_width, theta_c),
     )
-    center_x = 0.5 * width - r_s
-    shared = dict(
-        radius=r_s,
-        arc_angle=theta_s,
-        conjugate_angle=conj,
-        conjugate_arc_length=math.pi * s - fab.side_arc_length,
-        width=width_s,
-        strip_width=fab.strip_width,
-    )
+    side = dict(radius=r_s, arc_angle=theta_s,
+                conjugate_arc_length=math.pi * s - fab.side_arc_length,
+                center_x=0.5 * width - r_s)
     area = side_channel_polygon(
-        SideChannel(**shared, center_x=center_x, area=0.0), arc_resolution).area()
-    right = SideChannel(**shared, center_x=center_x, area=area)
-    left = SideChannel(**shared, center_x=-center_x, area=area)
+        SideChannel(**side, area=0.0), arc_resolution).area()
     return CrossSection(spec=spec, fab=fab, center=center,
-                        sides=(left, right), width=width)
+                        side=SideChannel(**side, area=area))
 
 
 def build_cross_section(spec: DesignSpec,

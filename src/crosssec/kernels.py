@@ -33,7 +33,8 @@ def _area_chunk(s, l, theta, out, tmp):
     np.multiply(0.5, theta, out=tmp)
     np.sin(tmp, out=tmp)
     np.divide(tmp, theta, out=tmp)
-    np.multiply(2.0 * s * l, tmp, out=tmp)
+    np.multiply(s * l, tmp, out=tmp)
+    np.add(tmp, tmp, out=tmp)  # doubled last: 2 s l can overflow first
     np.add(out, tmp, out=out)
 
 
@@ -119,8 +120,8 @@ def center_area_grid_argmax(arc_length, strip_width, n, lo, hi):
     the smallest index, and the first NaN area wins.
 
     Areas are computed at ``(s, l)`` scaled by the power of two ``2**-k``
-    that brings ``s`` into [0.5, 1), so none from the cutoff up over- or
-    underflows unless the factor ``2 s l`` does; the area returned is
+    that brings ``s`` into [0.5, 1), so none overflows: ``|s l| < |l|``,
+    and ``s l`` is formed before it is doubled.  The area returned is
     scaled back by ``4**k`` (inf on overflow).  The angles below
     ``SERIES_CUTOFF`` (a prefix or a suffix) are scanned whole, the rest is
     one run.  Each of two levels samples its runs every ``B`` points and at

@@ -50,7 +50,7 @@ def _label(x: float, y: float, text: str, anchor: str = "middle") -> str:
 def render_svg(section: CrossSection) -> str:
     """Render the section; returns the SVG document as a string."""
     center = section.center
-    side = section.sides[1]
+    side = section.side
     w = section.width
     r_c, r_s = center.radius, side.radius
     y_max = max(r_c, r_s)

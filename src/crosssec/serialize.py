@@ -170,7 +170,7 @@ def report_to_dict(report: FeasibilityReport) -> dict:
 
 def section_to_dict(section: CrossSection) -> dict:
     center = section.center
-    side = section.sides[1]
+    side = section.side
     return {
         "spec": spec_to_dict(section.spec),
         "fab": fab_to_dict(section.fab),

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +50,15 @@ class TestCenterArea:
         s, l, theta = 152.0, 76.2, 1e-6
         expected = s * l * (1.0 + s * theta / (6.0 * l))
         assert center_area(s, l, theta) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("area,theta", [(center_area, 1.0),
+                                            (series_area, 1e-5)])
+    def test_largest_strip_keeps_a_finite_area(self, area, theta):
+        # 2 s l overflows, but the area (about s l) does not; halving both
+        # lengths quarters it exactly
+        got = area(0.75, sys.float_info.max, theta)
+        assert math.isfinite(got)
+        assert got == 4.0 * area(0.375, 0.5 * sys.float_info.max, theta)
 
     def test_validation(self):
         with pytest.raises(ValueError):

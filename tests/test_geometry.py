@@ -36,9 +36,8 @@ class TestRecords:
 
     def test_center_channel_angle_domain(self):
         with pytest.raises(ValueError, match="arc_angle"):
-            CenterChannel(radius=1.0, arc_angle=2.0 * math.pi,
-                          chord_angle=-math.pi, width=1.0,
-                          strip_width=0.0, area=1.0)
+            CenterChannel(radius=1.0, arc_angle=2.0 * math.pi, width=1.0,
+                          area=1.0)
 
     def test_records_frozen(self):
         spec = DesignSpec(101.6, 50.8, 190.0)

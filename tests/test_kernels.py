@@ -31,7 +31,7 @@ def _area_grid(arc_length, strip_width, theta):
     t = theta[~small]
     base[~small] = (t - np.sin(t)) / (t * t)
     chord[~small] = np.sin(0.5 * t) / t
-    return arc_length * arc_length * base + 2.0 * arc_length * strip_width * chord
+    return arc_length * arc_length * base + arc_length * strip_width * (2.0 * chord)
 
 
 def reference_argmax(arc_length, strip_width, n, lo, hi):
@@ -549,17 +549,24 @@ class TestBoundPass:
         with pytest.raises(ValueError, match="grid scan needs"):
             kernels.center_area_grid_argmax(arc, strip, 1000, LO, HI)
 
-    @pytest.mark.parametrize("arc,strip,finite", [
-        (0.5, sys.float_info.max, True), (0.25, 2.0**1023 - 2.0**970, True),
-        (5e-324, 2.0**-50, True), (0.75, sys.float_info.max, False),
-        (-0.75, -sys.float_info.max, False)])
-    def test_largest_strips_short_of_the_refusal(self, arc, strip, finite):
-        # l * 2**-k up to the largest float: from the cutoff up the areas
-        # stay finite while the factor 2 s l 2**-2k does, and are inf (the
-        # first one wins) where it overflows
+    @pytest.mark.parametrize("arc,strip", [
+        (0.5, sys.float_info.max), (0.25, 2.0**1023 - 2.0**970),
+        (5e-324, 2.0**-50), (0.75, sys.float_info.max),
+        (-0.75, -sys.float_info.max)])
+    def test_largest_strips_short_of_the_refusal(self, arc, strip):
+        # l * 2**-k up to the largest float: every area stays finite, also
+        # where 2 s l 2**-2k overflows, as s l is doubled after its product
         got = kernels.center_area_grid_argmax(arc, strip, 1000, LO, HI)
         assert got == _scaled_reference(arc, strip, 1000, LO, HI)
-        assert math.isfinite(got[2]) == finite
+        assert math.isfinite(got[2])
+
+    def test_area_near_the_float_limit_is_finite(self):
+        # 2 s l overflows, but the area (about s l) does not
+        i, theta, area = kernels.center_area_grid_argmax(
+            0.75, sys.float_info.max, 1000, 1e-6, 6.283)
+        assert math.isfinite(area)
+        assert area == pytest.approx(
+            center_area(0.75, sys.float_info.max, theta), rel=1e-12)
 
     @settings(max_examples=80, deadline=None)
     @example(arc=1e160, share=1e-160, n=1000, chunk=64)

@@ -15,6 +15,7 @@ from crosssec import serialize
 
 from crosssec.analysis import SweepRecord, sweep_constant_perimeter
 from crosssec.geometry import DesignSpec, FabricationParams
+from crosssec.render import render_svg
 from crosssec.serialize import (SWEEP_CSV_HEADER, fab_from_dict, fab_to_dict,
                                 fmt, read_outline_csv, section_to_dict,
                                 spec_from_dict, spec_to_dict, sweep_to_csv,
@@ -236,6 +237,23 @@ class TestDictConversions:
                                         0.5 * s1_section.center.width]
 
 
+class TestEdgeSectionGoldens:
+    # sections at the two ends of the side arc's range: a full circle
+    # (L = 0: theta_s snaps to 2 pi, the conjugate angle is 0) and a short
+    # arc whose circle is wider than the section (center_x < 0)
+    @pytest.mark.parametrize("name,fab", [
+        ("edge_full_circle", (152.4, 127.0, 0.0)),
+        ("edge_short_side", (252.0061407120871, 91.35196381680731,
+                             90.96578888370378))])
+    def test_json_and_svg_bytes(self, name, fab):
+        section = forward_geometry(FabricationParams(*fab))
+        data = REPO / "tests/data"
+        assert (to_json(section_to_dict(section)).encode()
+                == (data / f"{name}.section.json").read_bytes())
+        assert (render_svg(section).encode()
+                == (data / f"{name}.section.svg").read_bytes())
+
+
 class TestSweepCsv:
     def test_golden_two_by_two(self):
         records = sweep_constant_perimeter(558.0, [152.0, 127.0], [76.2, 50.8])
@@ -261,8 +279,7 @@ class TestSweepCsv:
         rec = SweepRecord(center_arc_length=1.0, strip_width=0.0,
                           side_arc_length=2.0, center_height=1.0,
                           side_height=1.0, width=3.0,
-                          ergonomic_index=math.inf, feasible=True,
-                          failure_reason=None)
+                          ergonomic_index=math.inf, failure_reason=None)
         line = sweep_to_csv([rec]).splitlines()[1]
         assert line.split(",")[6] == "inf"
 
