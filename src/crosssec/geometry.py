@@ -280,16 +280,48 @@ def feasibility_discriminant(spec: DesignSpec) -> float:
     rounds to ``w`` is taken as tangent (``h + 2s - w = 0``), so gamma is
     exactly zero for ``(h, h, 3h)`` at any ``h``.
     """
-    h, s, w = spec.center_height, spec.side_height, spec.width
+    return _discriminant(spec.center_height, spec.side_height, spec.width)
+
+
+def _discriminant(h: float, s: float, w: float) -> float:
     excess = 2.0 * s - w
     gap = 0.0 if h + 2.0 * s == w else h + excess
     return (w - h) * gap * (w + h) * (h - excess)
 
 
-def _center_sine(spec: DesignSpec) -> float:
-    # sin of the center half-arc angle implied by the spec: w_c / H_c.
+def _feasibility(spec: DesignSpec):
+    """``validate_spec``'s report, and the frame it judged the spec in:
+    ``(h, s, w)`` divided by ``2**e``, just above the largest, with ``e``
+    and the discriminant there, which :func:`inverse_design` goes on
+    from.
+
+    In that frame the degree-2 and degree-4 forms neither overflow nor
+    underflow whatever the scale, and the division is exact (unless a
+    length is under ``2**-1021`` of the largest), so each sine, cosine
+    and angle is the one the unscaled lengths give where their forms fit.
+    """
     h, s, w = spec.center_height, spec.side_height, spec.width
-    return (w * w + h * h - 2.0 * w * s) / (2.0 * h * (w - s))
+    e = math.frexp(max(h, s, w))[1]
+    h, s, w = math.ldexp(h, -e), math.ldexp(s, -e), math.ldexp(w, -e)
+    gamma = _discriminant(h, s, w)
+    violations = []
+    sine = None
+    if w <= s:
+        violations.append("w > H_s")
+    else:
+        # sin of the center half-arc angle implied by the spec: w_c / H_c
+        sine = (w * w + h * h - 2.0 * w * s) / (2.0 * h * (w - s))
+        if abs(sine) > 1.0 + _BOUNDARY_RTOL:
+            violations.append("|arcsin argument| <= 1")
+    gamma_slack = _BOUNDARY_RTOL * (2.0 * h * max(w - s, 0.0)) ** 2
+    if gamma < -gamma_slack:
+        violations.append("gamma >= 0")
+    report = FeasibilityReport(
+        violations=tuple(violations),
+        discriminant=feasibility_discriminant(spec),
+        arcsin_argument=sine,
+    )
+    return report, (h, s, w, e, gamma)
 
 
 def validate_spec(spec: DesignSpec) -> FeasibilityReport:
@@ -298,26 +330,12 @@ def validate_spec(spec: DesignSpec) -> FeasibilityReport:
     Feasible iff width > side_height, the discriminant is non-negative,
     and the implied center-arc sine lies in [-1, 1].  A relative slack of
     1e-12 is allowed at the boundary so zero-strip-width geometry survives
-    roundoff.  Violated conditions are named in the report.
+    roundoff.  Violated conditions are named in the report.  The
+    conditions are evaluated on the lengths scaled by a power of two near
+    the largest, so they hold or fail alike at every scale; the reported
+    discriminant is :func:`feasibility_discriminant` of ``spec`` itself.
     """
-    violations = []
-    gamma = feasibility_discriminant(spec)
-    h, s, w = spec.center_height, spec.side_height, spec.width
-    sine = None
-    if w <= s:
-        violations.append("w > H_s")
-    else:
-        sine = _center_sine(spec)
-        if abs(sine) > 1.0 + _BOUNDARY_RTOL:
-            violations.append("|arcsin argument| <= 1")
-    gamma_slack = _BOUNDARY_RTOL * (2.0 * h * max(w - s, 0.0)) ** 2
-    if gamma < -gamma_slack:
-        violations.append("gamma >= 0")
-    return FeasibilityReport(
-        violations=tuple(violations),
-        discriminant=gamma,
-        arcsin_argument=sine,
-    )
+    return _feasibility(spec)[0]
 
 
 def inverse_design(spec: DesignSpec) -> FabricationParams:
@@ -330,17 +348,22 @@ def inverse_design(spec: DesignSpec) -> FabricationParams:
     / H_s``, from the leftover width ``w - w_c``, and ``S_s = H_s u``.
     Both come from ``atan2``, which keeps every digit near a half circle
     (``u -> pi/2``), where ``asin`` of the sine alone loses half of them,
-    and covers arcs past a half circle without a branch.
+    and covers arcs past a half circle without a branch.  All of it runs
+    on the lengths scaled by a power of two near the largest, as in
+    :func:`validate_spec`, so ``inverse_design`` of ``2**j`` times a spec
+    is ``2**j`` times its result, bit for bit, wherever both are normal
+    floats.
 
     Raises:
         InfeasibleSpec: when :func:`validate_spec` fails, or when the spec
             sits outside this branch's domain (non-positive center or side
             arc length).
+        ValueError: when a fabrication length exceeds the float range
+            (a spec within a few units of the largest float).
     """
-    report = validate_spec(spec)
+    report, (h, s, w, e, gamma) = _feasibility(spec)
     if not report.feasible:
         raise InfeasibleSpec(report.violations)
-    h, s, w = spec.center_height, spec.side_height, spec.width
     sine = min(1.0, max(-1.0, report.arcsin_argument))
     if sine <= 0.0:
         raise InfeasibleSpec(
@@ -348,7 +371,7 @@ def inverse_design(spec: DesignSpec) -> FabricationParams:
             f"spec implies a non-positive center arc (arcsin argument {sine!r})")
     # cos of the center half-arc angle; sqrt of the discriminant folded
     # into its normalized form to keep the degenerate boundary exact.
-    cosine = math.sqrt(max(report.discriminant, 0.0)) / (2.0 * h * (w - s))
+    cosine = math.sqrt(max(gamma, 0.0)) / (2.0 * h * (w - s))
     # atan2, not asin: asin(sine) loses half the digits as sine -> 1
     # (gamma -> 0); the cosine from the factored discriminant keeps them
     center_arc = h * math.atan2(sine, cosine)
@@ -358,7 +381,12 @@ def inverse_design(spec: DesignSpec) -> FabricationParams:
         raise InfeasibleSpec(
             ("S_s > 0",),
             "spec implies vanishing side channels (width equals center width)")
-    return FabricationParams(center_arc, side_arc, strip)
+    try:
+        return FabricationParams(math.ldexp(center_arc, e),
+                                 math.ldexp(side_arc, e), math.ldexp(strip, e))
+    except OverflowError:
+        raise ValueError(
+            "spec implies fabrication lengths beyond the float range") from None
 
 
 def membrane_curvature(pressure_kpa: float, tension_n_per_mm: float) -> float:
@@ -386,20 +414,18 @@ def membrane_curvature(pressure_kpa: float, tension_n_per_mm: float) -> float:
 
 def side_channel_polygon(side: SideChannel,
                          max_sagitta: float = DEFAULT_ARC_RESOLUTION) -> Polygon:
-    """Polygonized side-channel region: sampled arc closed by the chord.
+    """Polygonized right-hand side-channel region: sampled arc closed by
+    the chord.
 
-    The arc runs through the channel's outermost point; the implicit
-    closing edge is the strip chord.  Counter-clockwise winding for both
-    the right-hand (positive ``center_x``) and the mirrored left-hand
-    channel.
+    The arc runs counter-clockwise from ``-arc_angle / 2`` to
+    ``arc_angle / 2`` about ``(center_x, 0)``, through the channel's
+    rightmost point; the implicit closing edge is the strip chord.  Its
+    points are the right arc of :func:`cross_section_outline`, whatever
+    the sign of ``center_x``; the left-hand channel is its mirror in x.
     """
     half = 0.5 * side.arc_angle
-    if side.center_x >= 0.0:
-        start, end = -half, half
-    else:
-        start, end = math.pi - half, math.pi + half
-    pts = arc_points(side.center_x, 0.0, side.radius, start, end, max_sagitta)
-    return Polygon(pts)
+    return Polygon(arc_points(side.center_x, 0.0, side.radius, -half, half,
+                              max_sagitta))
 
 
 def cross_section_outline(section: CrossSection,
@@ -426,13 +452,13 @@ def cross_section_outline(section: CrossSection,
     return Polygon(pts)
 
 
-def _assemble(fab: FabricationParams, center_height: float, side_height: float,
-              arc_resolution: float, spec: DesignSpec | None = None) -> CrossSection:
-    """Build the CrossSection records from the fabrication lengths and
-    the channel heights they inflate to.
+def _channels(fab: FabricationParams, center_height: float, side_height: float,
+              spec: DesignSpec | None = None):
+    """(spec, center, side): the channels the fabrication lengths inflate
+    to at these heights, the right side's area not yet sampled (0.0).
 
-    The section records ``spec``, or when none is given the
-    ``DesignSpec(center_height, side_height, width)`` it derives.
+    ``spec`` comes back as given, or when none is given as the
+    ``DesignSpec(center_height, side_height, width)`` derived here.
     """
     h, s = center_height, side_height
     r_c = 0.5 * h
@@ -453,13 +479,21 @@ def _assemble(fab: FabricationParams, center_height: float, side_height: float,
         width=width_c,
         area=center_area(fab.center_arc_length, fab.strip_width, theta_c),
     )
-    side = dict(radius=r_s, arc_angle=theta_s,
-                conjugate_arc_length=math.pi * s - fab.side_arc_length,
-                center_x=0.5 * width - r_s)
-    area = side_channel_polygon(
-        SideChannel(**side, area=0.0), arc_resolution).area()
+    side = SideChannel(radius=r_s, arc_angle=theta_s,
+                       conjugate_arc_length=math.pi * s - fab.side_arc_length,
+                       center_x=0.5 * width - r_s, area=0.0)
+    return spec, center, side
+
+
+def _assemble(fab: FabricationParams, center_height: float, side_height: float,
+              arc_resolution: float, spec: DesignSpec | None = None) -> CrossSection:
+    """Build the CrossSection records from the fabrication lengths and
+    the channel heights they inflate to (see :func:`_channels`), sampling
+    the side area once, at ``arc_resolution``."""
+    spec, center, side = _channels(fab, center_height, side_height, spec)
+    area = side_channel_polygon(side, arc_resolution).area()
     return CrossSection(spec=spec, fab=fab, center=center,
-                        side=SideChannel(**side, area=area))
+                        side=replace(side, area=area))
 
 
 def build_cross_section(spec: DesignSpec,

@@ -180,11 +180,12 @@ def test_criterion_07_area_ratio_self_test():
     # Synthetic oracles for the measured-vs-model area tool: the model's
     # own outline scaled by 0.995 per axis must report the quadratic area
     # ratio 0.995^2 to 1e-6, and the unscaled outline 1.0 to the same
-    # discretization tolerance (polygonized at max sagitta 1e-5 mm).
-    section = build_cross_section(DesignSpec(101.6, 50.8, 190.0))
+    # discretization tolerance (section and outline both polygonized at
+    # max sagitta 1e-5 mm).
+    section = build_cross_section(DesignSpec(101.6, 50.8, 190.0), 1e-5)
     points = np.asarray(cross_section_outline(section, 1e-5).points)
-    identity = area_ratio(Polygon(points), section, 1e-5)
-    scaled = area_ratio(Polygon(points * 0.995), section, 1e-5)
+    identity = area_ratio(Polygon(points), section)
+    scaled = area_ratio(Polygon(points * 0.995), section)
     expected = 0.995 ** 2
     ok = abs(scaled - expected) <= 1e-6 and abs(identity - 1.0) <= 1e-6
     _report(7, ok, "area-ratio self-test, 0.995-per-axis scale and identity",

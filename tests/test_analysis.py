@@ -7,9 +7,10 @@ from crosssec import analysis
 from crosssec.analysis import (area_ratio, ergonomic_index, eversion_force,
                                sweep_constant_perimeter, total_area)
 from crosssec.errors import DegeneratePolygon
-from crosssec.geometry import (DesignSpec, build_cross_section,
-                               cross_section_outline)
+from crosssec.geometry import (DesignSpec, FabricationParams,
+                               build_cross_section, cross_section_outline)
 from crosssec.polygon import Polygon
+from crosssec.solver import forward_geometry
 from conftest import FROZEN, rel_err
 
 
@@ -122,25 +123,41 @@ class TestTotalArea:
     def test_frozen_total(self, s1_section):
         assert rel_err(total_area(s1_section), FROZEN["S1"]["total"]) < 1e-5
 
-    def test_resolution_refinement_converges(self, s1_section):
-        coarse = total_area(s1_section, 1e-3)
-        fine = total_area(s1_section, 1e-4)
-        finest = total_area(s1_section, 1e-5)
+    @pytest.mark.parametrize("key", ["S1", "S2", "S3"])
+    def test_reads_the_built_section(self, key):
+        # no re-sample: the areas the section holds, bit for bit, at any
+        # resolution it was built with
+        for resolution in (1e-3, 1e-4, 1e-5):
+            s = forward_geometry(FabricationParams(*FROZEN[key]["fab"]),
+                                 resolution)
+            assert total_area(s).hex() == (s.center.area
+                                           + 2.0 * s.side.area).hex()
+
+    def test_resolution_refinement_converges(self):
+        # the side area is sampled once, when the section is built
+        fab = FabricationParams(*FROZEN["S1"]["fab"])
+        coarse, fine, finest = (total_area(forward_geometry(fab, resolution))
+                                for resolution in (1e-3, 1e-4, 1e-5))
         assert abs(fine - coarse) / finest < 1e-4  # 0.01%
         assert abs(finest - fine) / finest < 1e-5
         assert coarse < fine < finest  # inscribed polygons from below
 
 
 class TestAreaRatio:
-    def test_identity(self, s1_section):
-        outline = cross_section_outline(s1_section, 1e-5)
-        ratio = area_ratio(outline, s1_section, 1e-5)
+    @pytest.fixture(scope="class")
+    def fine_s1_section(self):
+        # built at the resolution its outline is sampled at
+        return forward_geometry(FabricationParams(*FROZEN["S1"]["fab"]), 1e-5)
+
+    def test_identity(self, fine_s1_section):
+        outline = cross_section_outline(fine_s1_section, 1e-5)
+        ratio = area_ratio(outline, fine_s1_section)
         assert ratio == pytest.approx(1.0, abs=1e-6)
 
-    def test_quadratic_scaling(self, s1_section):
-        outline = cross_section_outline(s1_section, 1e-5)
+    def test_quadratic_scaling(self, fine_s1_section):
+        outline = cross_section_outline(fine_s1_section, 1e-5)
         scaled = Polygon(outline.points * 0.995)
-        ratio = area_ratio(scaled, s1_section, 1e-5)
+        ratio = area_ratio(scaled, fine_s1_section)
         assert ratio == pytest.approx(0.995**2, abs=1e-6)
 
     def test_clockwise_rejected(self, s1_section):

@@ -11,6 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import (FROZEN, INVERSE_190_FAB, INVERSE_190_SPEC, REPO,
                       rel_err, run_cli)
 from crosssec import analysis, cli
+from crosssec.geometry import DesignSpec, inverse_design
+from test_properties import TOL
 
 
 class TestInverse:
@@ -31,6 +33,36 @@ class TestInverse:
         assert doc["fab"]["S_c_mm"] == pytest.approx(1.5707963, abs=1e-6)
         assert doc["fab"]["L_mm"] == 0.0
         assert doc["fab"]["S_s_mm"] == pytest.approx(3.1415927, abs=1e-6)
+
+    @pytest.mark.parametrize("scale", [1e-90, 1e76, 1e160])
+    def test_far_scales(self, capsys, scale):
+        # the design direction runs on a power-of-two frame: no overflow,
+        # underflow or lost feasibility far beyond µm to km
+        spec = [f"{x:g}e{round(math.log10(scale))}" for x in INVERSE_190_SPEC]
+        assert cli.main(["inverse", "--hc", spec[0], "--hs", spec[1],
+                         "--w", spec[2]]) == 0
+        fab = json.loads(capsys.readouterr().out)["fab"]
+        printed = (fab["S_c_mm"], fab["S_s_mm"], fab["L_mm"])
+        got = inverse_design(DesignSpec(*map(float, spec)))
+        exact = (got.center_arc_length, got.side_arc_length, got.strip_width)
+        for p, e, want in zip(printed, exact, INVERSE_190_FAB):
+            assert rel_err(p, want * scale) < 1e-8
+            assert rel_err(e, want * scale) < TOL
+
+    def test_far_tangent_spec(self, capsys):
+        assert cli.main(["inverse", "--hc", "1e-200", "--hs", "1e-200",
+                         "--w", "3e-200"]) == 0
+        fab = json.loads(capsys.readouterr().out)["fab"]
+        assert fab["L_mm"] == 0.0
+        assert rel_err(fab["S_c_mm"], 0.5 * math.pi * 1e-200) < 1e-8
+        assert rel_err(fab["S_s_mm"], math.pi * 1e-200) < 1e-8
+
+    def test_fab_beyond_the_float_range_exit_1(self, capsys):
+        assert cli.main(["inverse", "--hc", "1.7e308", "--hs", "8.5e307",
+                         "--w", "1.79e308"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "beyond the float range" in err
 
     def test_infeasible_narrow(self):
         out = run_cli("inverse", "--hc", 101.6, "--hs", 50.8, "--w", 50.8)

@@ -247,17 +247,24 @@ class TestPolygonization:
         finer = side_channel_polygon(s, 1e-6)
         assert rel_err(finer.area(), exact) < 1e-7
 
-    def test_side_polygon_ccw_both_sides(self, s1_section):
-        left, right = s1_section.sides
-        assert side_channel_polygon(right, 1e-3).signed_area() > 0
-        assert side_channel_polygon(left, 1e-3).signed_area() > 0
-
-    def test_left_polygon_mirrors_right(self, s1_section):
-        left, right = s1_section.sides
-        lp = side_channel_polygon(left, 1e-3).points
-        rp = side_channel_polygon(right, 1e-3).points
-        assert np.allclose(lp[:, 0], -rp[::-1, 0], atol=1e-12)
-        assert np.allclose(lp[:, 1], rp[::-1, 1], atol=1e-12)
+    @pytest.mark.parametrize("fab", [
+        FROZEN["S1"]["fab"],
+        # a short side arc: its circle's center lies left of the axis
+        (252.0061407120871, 91.35196381680731, 90.96578888370378)])
+    def test_polygon_is_the_outline_right_arc(self, fab):
+        # the right-hand channel, on its own side whatever the sign of
+        # center_x; the closing vertex is the top arc's first in the outline
+        section = forward_geometry(FabricationParams(*fab))
+        polygon = side_channel_polygon(section.side, 1e-3)
+        assert polygon.signed_area() > 0
+        points = polygon.points
+        outline = cross_section_outline(section, 1e-3).points
+        assert np.array_equal(points[:-1], outline[:len(points) - 1])
+        # x runs from the strip to the half-width, within the 1e-3 sagitta
+        half_width = 0.5 * section.width
+        assert half_width - 1e-3 <= points[:, 0].max() <= half_width
+        assert points[:, 0].min() == pytest.approx(
+            0.5 * section.center.width, rel=1e-12)
 
     def test_sub_mm_sections_keep_their_side_area(self):
         # thin sub-mm side channels: arcs whose sagitta is under the

@@ -27,6 +27,8 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import INVERSE_190_SPEC
+from crosssec.errors import InfeasibleSpec
 from crosssec.geometry import DesignSpec, inverse_design, validate_spec
 from crosssec.solver import solve_center_arc_angle, solve_side_height
 
@@ -139,3 +141,49 @@ class TestZeroStrip:
         assert abs(s_c2 - s_c) <= 1e-15 * s_c
         assert abs(s_s2 - fab[1]) <= 1e-15 * fab[1]
         assert l2 <= 1e-15 * w
+
+
+def _design(spec, j):
+    # violations, arcsin argument and fab (or refusal) of 2**j * spec
+    spec = DesignSpec(*(math.ldexp(x, j) for x in spec))
+    report = validate_spec(spec)
+    try:
+        fab = inverse_design(spec)
+    except InfeasibleSpec as exc:
+        return report.violations, report.arcsin_argument, str(exc)
+    return report.violations, report.arcsin_argument, (
+        fab.center_arc_length, fab.side_arc_length, fab.strip_width)
+
+
+def _scaled(design, j):
+    # the design of a spec, as it reads at 2**j times that spec
+    violations, sine, fab = design
+    if isinstance(fab, tuple):
+        fab = tuple(math.ldexp(x, j) for x in fab)
+    return violations, sine, fab
+
+
+class TestPowerOfTwoScale:
+    """The design direction runs on the lengths scaled by a power of two,
+    so ``2**j`` times a spec gives ``2**j`` times its fab, bit for bit,
+    and the same violations, far beyond µm to km."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(sections(), st.integers(-1000, 1000))
+    def test_feasible_sections(self, section, j):
+        _, *shape = section
+        spec = _exact(*shape)[1]
+        assert _design(spec, j) == _scaled(_design(spec, 0), j)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.floats(-3.0, 6.0), min_size=3, max_size=3),
+           st.integers(-1000, 1000))
+    def test_any_spec(self, exponents, j):
+        # mostly infeasible: the same conditions fail at every scale
+        spec = [10.0 ** x for x in exponents]
+        assert _design(spec, j) == _scaled(_design(spec, 0), j)
+
+    def test_190_spec_at_every_seventh_power(self):
+        design = _design(INVERSE_190_SPEC, 0)
+        for j in range(-1000, 1001, 7):
+            assert _design(INVERSE_190_SPEC, j) == _scaled(design, j), j
