@@ -161,13 +161,9 @@ def eversion_force(pressure_kpa: float, area_mm2: float) -> float:
 
 
 def total_area(section: CrossSection) -> float:
-    """Total enclosed area A_c + 2 A_s (mm^2) of the built section.
-
-    Both areas are the ones the section holds: the center area is closed
-    form, and the side area was sampled once, at the resolution the
-    section was built with.
-    """
-    return section.center.area + 2.0 * section.side.area
+    """Total enclosed area A_c + 2 A_s (mm^2) of the built section: its
+    :attr:`~crosssec.geometry.CrossSection.total_area`, bit for bit."""
+    return section.total_area
 
 
 def area_ratio(measured: Polygon, section: CrossSection) -> float:

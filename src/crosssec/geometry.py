@@ -105,12 +105,20 @@ class FabricationParams:
 class FeasibilityReport:
     """Outcome of the closed-form feasibility conditions for a spec.
 
+    Feasible exactly when :func:`inverse_design` returns, and a refusal
+    names these violations.
+
     Attributes:
         violations: Names of the violated conditions, drawn from
-            ``"w > H_s"``, ``"gamma >= 0"``, ``"|arcsin argument| <= 1"``.
+            ``"w > H_s"``, ``"gamma >= 0"``, ``"|arcsin argument| <= 1"``;
+            where those three hold, ``"S_c > 0"`` (implied center sine
+            <= 0) or ``"S_s > 0"`` (implied side arc <= 0), the inverse
+            branch's domain.
         discriminant: The feasibility discriminant (mm^4).
         arcsin_argument: Sine of the center half-arc angle implied by the
-            spec (w_c / H_c); None when undefined (w <= H_s).
+            spec (w_c / H_c); None when undefined (w <= H_s); +-inf, or
+            0 where its numerator cancels too, when its denominator
+            underflows (H_c below about 2**-1021 of the largest length).
     """
 
     violations: tuple[str, ...]
@@ -250,8 +258,11 @@ class CrossSection:
 
     @property
     def total_area(self) -> float:
-        """Enclosed area of the whole section, center + both sides (mm^2)."""
-        return self.center.area + self.side.area + self.side.area
+        """Enclosed area of the whole section, A_c + 2 A_s (mm^2): the
+        closed-form center area and the side area sampled once, when the
+        section was built.  The one total-area formula;
+        :func:`crosssec.analysis.total_area` returns it."""
+        return self.center.area + 2.0 * self.side.area
 
     @property
     def perimeter(self) -> float:
@@ -289,53 +300,77 @@ def _discriminant(h: float, s: float, w: float) -> float:
     return (w - h) * gap * (w + h) * (h - excess)
 
 
-def _feasibility(spec: DesignSpec):
-    """``validate_spec``'s report, and the frame it judged the spec in:
-    ``(h, s, w)`` divided by ``2**e``, just above the largest, with ``e``
-    and the discriminant there, which :func:`inverse_design` goes on
-    from.
+def _design(spec: DesignSpec):
+    """The design direction's one decision: ``(report, lengths, e)``.
 
-    In that frame the degree-2 and degree-4 forms neither overflow nor
-    underflow whatever the scale, and the division is exact (unless a
-    length is under ``2**-1021`` of the largest), so each sine, cosine
-    and angle is the one the unscaled lengths give where their forms fit.
+    ``report`` is :func:`validate_spec`'s; where it is feasible,
+    ``lengths`` holds ``(S_c, S_s, L)`` divided by ``2**e``, the frame
+    the spec was judged in: ``(h, s, w)`` divided by ``2**e``, just above
+    the largest.  In that frame the degree-2 and degree-4 forms neither
+    overflow nor underflow whatever the scale, and the division is exact
+    (unless a length is under ``2**-1021`` of the largest), so each sine,
+    cosine and angle is the one the unscaled lengths give where their
+    forms fit.  See :func:`inverse_design` for the branch taken.
     """
     h, s, w = spec.center_height, spec.side_height, spec.width
     e = math.frexp(max(h, s, w))[1]
     h, s, w = math.ldexp(h, -e), math.ldexp(s, -e), math.ldexp(w, -e)
     gamma = _discriminant(h, s, w)
     violations = []
-    sine = None
+    sine = lengths = None
     if w <= s:
         violations.append("w > H_s")
     else:
         # sin of the center half-arc angle implied by the spec: w_c / H_c
-        sine = (w * w + h * h - 2.0 * w * s) / (2.0 * h * (w - s))
+        numerator = w * w + h * h - 2.0 * w * s
+        denominator = 2.0 * h * (w - s)
+        # the denominator underflows where H_c is under about 2**-1021 of
+        # the frame: the quotient's limit then, or 0 where the numerator
+        # cancels too (w = 2 H_s), whose center arc underflows as well
+        sine = (numerator / denominator if denominator
+                else math.copysign(math.inf, numerator) if numerator else 0.0)
         if abs(sine) > 1.0 + _BOUNDARY_RTOL:
             violations.append("|arcsin argument| <= 1")
     gamma_slack = _BOUNDARY_RTOL * (2.0 * h * max(w - s, 0.0)) ** 2
     if gamma < -gamma_slack:
         violations.append("gamma >= 0")
-    report = FeasibilityReport(
-        violations=tuple(violations),
-        discriminant=feasibility_discriminant(spec),
-        arcsin_argument=sine,
-    )
-    return report, (h, s, w, e, gamma)
+    if not violations:
+        clamped = min(1.0, sine)
+        if clamped <= 0.0:
+            violations.append("S_c > 0")
+        else:
+            # cos of the center half-arc angle; sqrt of the discriminant
+            # folded into its normalized form to keep the degenerate
+            # boundary exact.  atan2, not asin: asin(sine) loses half the
+            # digits as sine -> 1 (gamma -> 0); the cosine keeps them
+            cosine = math.sqrt(max(gamma, 0.0)) / denominator
+            strip = h * cosine
+            side_arc = s * math.atan2(strip, s - (w - h * clamped))
+            if side_arc <= 0.0:
+                violations.append("S_s > 0")
+            else:
+                lengths = (h * math.atan2(clamped, cosine), side_arc, strip)
+    return FeasibilityReport(tuple(violations), feasibility_discriminant(spec),
+                             sine), lengths, e
 
 
 def validate_spec(spec: DesignSpec) -> FeasibilityReport:
-    """Evaluate the three feasibility conditions; reports, never throws.
+    """Evaluate the feasibility conditions; reports, never throws.
 
     Feasible iff width > side_height, the discriminant is non-negative,
-    and the implied center-arc sine lies in [-1, 1].  A relative slack of
-    1e-12 is allowed at the boundary so zero-strip-width geometry survives
-    roundoff.  Violated conditions are named in the report.  The
-    conditions are evaluated on the lengths scaled by a power of two near
-    the largest, so they hold or fail alike at every scale; the reported
-    discriminant is :func:`feasibility_discriminant` of ``spec`` itself.
+    the implied center-arc sine is at most 1 in magnitude, and, where
+    those three hold, the spec lies in :func:`inverse_design`'s branch:
+    a positive center arc (sine > 0, ``"S_c > 0"``) and a positive side
+    arc (``"S_s > 0"``).  So a spec is feasible exactly when
+    ``inverse_design`` returns its fabrication parameters (unless they
+    pass the float range).  A relative slack of 1e-12 is allowed at the
+    boundary so zero-strip-width geometry survives roundoff.  Violated
+    conditions are named in the report.  The conditions are evaluated on
+    the lengths scaled by a power of two near the largest, so they hold
+    or fail alike at every scale; the reported discriminant is
+    :func:`feasibility_discriminant` of ``spec`` itself.
     """
-    return _feasibility(spec)[0]
+    return _design(spec)[0]
 
 
 def inverse_design(spec: DesignSpec) -> FabricationParams:
@@ -355,36 +390,22 @@ def inverse_design(spec: DesignSpec) -> FabricationParams:
     floats.
 
     Raises:
-        InfeasibleSpec: when :func:`validate_spec` fails, or when the spec
-            sits outside this branch's domain (non-positive center or side
-            arc length).
-        ValueError: when a fabrication length exceeds the float range
-            (a spec within a few units of the largest float).
+        InfeasibleSpec: when :func:`validate_spec` reports the spec
+            infeasible, with the same violations; a spec outside this
+            branch's domain names ``"S_c > 0"`` or ``"S_s > 0"``.
+        ValueError: when a fabrication length passes the float range: a
+            spec within a few units of the largest float, or an arc length
+            that rounds to 0 below the smallest subnormal.
     """
-    report, (h, s, w, e, gamma) = _feasibility(spec)
+    report, lengths, e = _design(spec)
     if not report.feasible:
         raise InfeasibleSpec(report.violations)
-    sine = min(1.0, max(-1.0, report.arcsin_argument))
-    if sine <= 0.0:
-        raise InfeasibleSpec(
-            ("S_c > 0",),
-            f"spec implies a non-positive center arc (arcsin argument {sine!r})")
-    # cos of the center half-arc angle; sqrt of the discriminant folded
-    # into its normalized form to keep the degenerate boundary exact.
-    cosine = math.sqrt(max(gamma, 0.0)) / (2.0 * h * (w - s))
-    # atan2, not asin: asin(sine) loses half the digits as sine -> 1
-    # (gamma -> 0); the cosine from the factored discriminant keeps them
-    center_arc = h * math.atan2(sine, cosine)
-    strip = h * cosine
-    side_arc = s * math.atan2(strip, s - (w - h * sine))
-    if side_arc <= 0.0:
-        raise InfeasibleSpec(
-            ("S_s > 0",),
-            "spec implies vanishing side channels (width equals center width)")
+    center_arc, side_arc, strip = lengths
     try:
         return FabricationParams(math.ldexp(center_arc, e),
                                  math.ldexp(side_arc, e), math.ldexp(strip, e))
-    except OverflowError:
+    except (OverflowError, ValueError):
+        # past the largest float, or an arc length that rounds to 0
         raise ValueError(
             "spec implies fabrication lengths beyond the float range") from None
 
@@ -462,9 +483,13 @@ def _channels(fab: FabricationParams, center_height: float, side_height: float,
     """
     h, s = center_height, side_height
     r_c = 0.5 * h
+    r_s = 0.5 * s
+    if not (r_c and r_s):
+        # subnormal lengths: a height, or half of it, rounds to 0
+        raise ValueError(
+            f"a channel radius rounds to 0 at H_c = {h!r} mm, H_s = {s!r} mm")
     theta_c = fab.center_arc_length / r_c
     width_c = h * math.sin(fab.center_arc_length / h)
-    r_s = 0.5 * s
     theta_s = fab.side_arc_length / r_s
     if _FULL_TURN < theta_s <= _FULL_TURN + _FULL_TURN_SLACK:
         # zero strip width: the side arc closes a full circle, and the

@@ -133,6 +133,19 @@ class TestTotalArea:
             assert total_area(s).hex() == (s.center.area
                                            + 2.0 * s.side.area).hex()
 
+    def test_one_formula(self):
+        # analysis.total_area is the section's own total, and area_ratio
+        # divides by it, bit for bit, over seeded paper-scale fabs
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            s_s = rng.uniform(50.0, 300.0)
+            s = forward_geometry(FabricationParams(
+                rng.uniform(50.0, 300.0), s_s, s_s * rng.uniform(0.0, 0.95)))
+            assert total_area(s).hex() == s.total_area.hex()
+            measured = cross_section_outline(s, 1.0)
+            assert (measured.signed_area() / s.total_area).hex() == area_ratio(
+                measured, s).hex()
+
     def test_resolution_refinement_converges(self):
         # the side area is sampled once, when the section is built
         fab = FabricationParams(*FROZEN["S1"]["fab"])

@@ -57,9 +57,13 @@ class TestInverse:
         assert rel_err(fab["S_c_mm"], 0.5 * math.pi * 1e-200) < 1e-8
         assert rel_err(fab["S_s_mm"], math.pi * 1e-200) < 1e-8
 
-    def test_fab_beyond_the_float_range_exit_1(self, capsys):
-        assert cli.main(["inverse", "--hc", "1.7e308", "--hs", "8.5e307",
-                         "--w", "1.79e308"]) == 1
+    @pytest.mark.parametrize("spec", [
+        ("1.7e308", "8.5e307", "1.79e308"),
+        # feasible, but S_c rounds to 0 below the smallest subnormal
+        ("2e-323", "1.625e-321", "3.25e-321")])
+    def test_fab_beyond_the_float_range_exit_1(self, capsys, spec):
+        assert cli.main(["inverse", "--hc", spec[0], "--hs", spec[1],
+                         "--w", spec[2]]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert "beyond the float range" in err
@@ -77,6 +81,18 @@ class TestInverse:
         doc = json.loads(out.stdout)
         assert "gamma >= 0" in doc["feasibility"]["violations"]
         assert out.stderr.strip()
+
+    @pytest.mark.parametrize("spec, violation", [
+        (("2.81", "2.9", "3"), "S_c > 0"), (("100", "30", "100"), "S_s > 0")])
+    def test_vanishing_arcs_print_the_report(self, capsys, spec, violation):
+        # the three closed-form conditions hold, but the spec is outside
+        # the inverse's branch: the report names it, as for any refusal
+        assert cli.main(["inverse", "--hc", spec[0], "--hs", spec[1],
+                         "--w", spec[2]]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"feasibility": {
+            "feasible": False, "violations": [violation]}}
+        assert err == f"crosssec: infeasible spec: {violation}\n"
 
     def test_config_file(self):
         out = run_cli("inverse", "--config", "docs/examples/job_inverse.json")
@@ -797,6 +813,31 @@ class TestForce:
         out = run_cli("force", "--pressure-kpa", 10)
         assert out.returncode == 1
         assert "area" in out.stderr
+
+
+class TestSubnormalSections:
+    """A section whose channel radius rounds to 0 ends in one line and
+    exit 1 in every mode that builds one; a sweep records its cell."""
+
+    @pytest.mark.parametrize("argv", [
+        ["forward", "--sc", "5e-324", "--ss", "5e-324", "--l", "0"],
+        ["shape", "--hc", "5e-324", "--hs", "5e-324", "--w", "1.5e-323"],
+        ["inverse", "--hc", "5e-324", "--hs", "5e-324", "--w", "1.5e-323"],
+        ["force", "--pressure-kpa", "1", "--sc", "5e-324", "--ss", "5e-324",
+         "--l", "0"]])
+    def test_exit_1_with_one_line(self, capsys, argv):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("crosssec: error: a channel radius rounds to 0")
+        assert err.count("\n") == 1
+
+    def test_sweep_records_the_cell(self, capsys):
+        assert cli.main(["sweep", "--perimeter", "2e-323", "--sc", "5e-324",
+                         "--l", "0"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert row.split(",")[7] == "false"
+        assert "a channel radius rounds to 0" in row
 
 
 class TestUsage:

@@ -115,21 +115,63 @@ class TestInverseDesign:
         assert "gamma >= 0" in info.value.violations
 
     def test_vanishing_center_arc(self):
-        # feasible by the three closed-form conditions, but the implied
-        # center arc length is negative: w barely above H_s, H_c between
+        # the three closed-form conditions hold, but the implied center
+        # arc length is negative (w barely above H_s, H_c between): the
+        # report names it, and the inverse refuses with the same name
         spec = DesignSpec(2.81, 2.9, 3.0)
-        assert validate_spec(spec).feasible
+        report = validate_spec(spec)
+        assert report.violations == ("S_c > 0",)
+        assert report.arcsin_argument < 0.0
         with pytest.raises(InfeasibleSpec) as info:
             inverse_design(spec)
         assert info.value.violations == ("S_c > 0",)
+        assert str(info.value) == "infeasible spec: S_c > 0"
 
     def test_vanishing_side_channels(self):
         # w == H_c puts all the width in the center channel
         spec = DesignSpec(100.0, 30.0, 100.0)
-        assert validate_spec(spec).feasible
+        assert validate_spec(spec).violations == ("S_s > 0",)
         with pytest.raises(InfeasibleSpec) as info:
             inverse_design(spec)
         assert info.value.violations == ("S_s > 0",)
+        assert str(info.value) == "infeasible spec: S_s > 0"
+
+    def test_report_decides_the_inverse(self):
+        # validate_spec is feasible exactly when inverse_design returns,
+        # and a refusal names the report's violations, at 2**j times each
+        # spec too; tangent specs (h + 2s = w) sit on gamma = 0
+        rng = np.random.default_rng(11)
+        refused = 0
+        for i in range(3000):
+            h = 10.0 ** rng.uniform(-3.0, 6.0)
+            s = h * rng.uniform(0.05, 3.0)
+            w = (h + 2.0 * s) * (1.0 if i % 10 == 0 else rng.uniform(0.5, 1.5))
+            for j in (0, -900, 900):
+                spec = DesignSpec(*(math.ldexp(x, j) for x in (h, s, w)))
+                report = validate_spec(spec)
+                try:
+                    inverse_design(spec)
+                except InfeasibleSpec as exc:
+                    refused += 1
+                    assert exc.violations == report.violations, spec
+                    assert not report.feasible, spec
+                else:
+                    assert report.feasible, spec
+        assert 0 < refused < 9000
+
+    @pytest.mark.parametrize("spec, violations", [
+        ((5e-324, 1.0, 3.0), ("|arcsin argument| <= 1", "gamma >= 0")),
+        ((1e-320, 1.0, 3.0), ("|arcsin argument| <= 1", "gamma >= 0")),
+        ((5e-324, 1e300, 3e300), ("|arcsin argument| <= 1", "gamma >= 0")),
+        # w = 2 H_s: the sine's numerator cancels too, and S_c underflows
+        ((5e-324, 1.0, 2.0), ("S_c > 0",))])
+    def test_center_height_below_the_frame(self, spec, violations):
+        # H_c (nearly) rounds to 0 in the power-of-two frame: reported,
+        # as at 1e-320, not raised
+        assert validate_spec(DesignSpec(*spec)).violations == violations
+        with pytest.raises(InfeasibleSpec) as info:
+            inverse_design(DesignSpec(*spec))
+        assert info.value.violations == violations
 
     def test_short_side_branch_when_leftover_below_height(self):
         # w - w_c <= H_s selects the minor side arc (angle <= pi)
