@@ -14,8 +14,7 @@ from .analysis import (ErgonomicReport, SweepRecord, area_ratio,
                        sweep_constant_perimeter, total_area)
 from ._arcmath import center_area, center_area_derivative, strip_fit_residual
 from .errors import (CrossSecError, DegeneratePolygon, InfeasibleSpec,
-                     NoBracket, NonConvergence, NonpositiveTension,
-                     OracleMismatch, SolverError)
+                     NoBracket, NonConvergence, OracleMismatch, SolverError)
 from .geometry import (CenterChannel, CrossSection, DesignSpec,
                        FabricationParams, FeasibilityReport, SideChannel,
                        build_cross_section, cross_section_outline,
@@ -41,7 +40,6 @@ __all__ = [
     "InfeasibleSpec",
     "NoBracket",
     "NonConvergence",
-    "NonpositiveTension",
     "OracleMismatch",
     "OracleResult",
     "Polygon",

@@ -37,9 +37,11 @@ class ErgonomicReport:
     Attributes:
         side_peak: Apex of a side channel, (w/2 - H_s/2, H_s/2) (mm).
         center_peak: Apex of the center channel, (0, H_c/2) (mm).
-        slope: Signed rise over run from side peak to center peak.
-        index: 1 / |slope|; +inf when the heights match exactly
-            (serialized as the string "inf").
+        slope: Signed rise over run from side peak to center peak;
+            0.0 when the run is zero, as in a circular section (side
+            circle centred on the axis).
+        index: 1 / |slope|; +inf when the heights match exactly or the
+            run is zero (serialized as the string "inf").
     """
 
     side_peak: tuple[float, float]
@@ -78,7 +80,9 @@ def ergonomic_index(section: CrossSection) -> ErgonomicReport:
     r_s = section.side.radius
     side_peak = (0.5 * section.width - r_s, r_s)
     center_peak = (0.0, r_c)
-    slope = (center_peak[1] - side_peak[1]) / (center_peak[0] - side_peak[0])
+    run = center_peak[0] - side_peak[0]
+    # a zero run is a circular section: one circle, flat by this measure
+    slope = 0.0 if run == 0.0 else (center_peak[1] - side_peak[1]) / run
     index = math.inf if slope == 0.0 else 1.0 / abs(slope)
     return ErgonomicReport(side_peak=side_peak, center_peak=center_peak,
                            slope=slope, index=index)
@@ -96,7 +100,10 @@ def sweep_constant_perimeter(perimeter: float,
     The side arc length of each cell is ``perimeter / 2 - S_c``.  Grids
     are sorted ascending, NaN entries last, and iterated S_c-major then L,
     so the row order depends only on the grid values.  Infeasible cells
-    are recorded with a reason, never dropped.
+    are recorded with a reason, never dropped: a cell whose lengths
+    ``FabricationParams`` refuses (``S_s <= 0`` once ``S_c`` reaches half
+    the perimeter, ``L < 0``, a NaN) gets that check's message, and a
+    cell the forward solve refuses gets the solver's.
 
     Raises:
         ValueError: non-positive or non-finite perimeter, a grid entry
@@ -123,28 +130,18 @@ def sweep_constant_perimeter(perimeter: float,
 
 
 def _sweep_cell(s_c: float, s_s: float, l: float) -> SweepRecord:
-    reason = None
-    if s_s <= 0.0:
-        reason = f"side arc length {s_s:.9g} <= 0 at this perimeter"
-    elif l < 0.0:
-        reason = "strip width < 0"
-    else:
-        try:
-            section = forward_geometry(FabricationParams(s_c, s_s, l))
-        except (SolverError, ValueError) as exc:
-            reason = str(exc)
-        else:
-            return SweepRecord(
-                center_arc_length=s_c, strip_width=l, side_arc_length=s_s,
-                center_height=section.spec.center_height,
-                side_height=section.spec.side_height,
-                width=section.width,
-                ergonomic_index=ergonomic_index(section).index,
-                failure_reason=None)
+    try:
+        section = forward_geometry(FabricationParams(s_c, s_s, l))
+    except (SolverError, ValueError) as exc:
+        return SweepRecord(
+            center_arc_length=s_c, strip_width=l, side_arc_length=s_s,
+            center_height=None, side_height=None, width=None,
+            ergonomic_index=None, failure_reason=str(exc))
     return SweepRecord(
         center_arc_length=s_c, strip_width=l, side_arc_length=s_s,
-        center_height=None, side_height=None, width=None,
-        ergonomic_index=None, failure_reason=reason)
+        center_height=section.spec.center_height,
+        side_height=section.spec.side_height, width=section.width,
+        ergonomic_index=ergonomic_index(section).index, failure_reason=None)
 
 
 def eversion_force(pressure_kpa: float, area_mm2: float) -> float:

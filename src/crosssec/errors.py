@@ -67,15 +67,9 @@ class InfeasibleSpec(CrossSecError):
         violations: Names of the violated conditions, e.g. ``("w > H_s",)``.
     """
 
-    def __init__(self, violations, message=None):
+    def __init__(self, violations):
         self.violations = tuple(violations)
-        if message is None:
-            message = "infeasible spec: " + "; ".join(self.violations)
-        super().__init__(message)
-
-
-class NonpositiveTension(CrossSecError):
-    """Membrane tension must be positive for curvature to be defined."""
+        super().__init__("infeasible spec: " + "; ".join(self.violations))
 
 
 class SolverError(CrossSecError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._arcmath import center_area
-from .errors import InfeasibleSpec, NonpositiveTension, check_number
+from .errors import InfeasibleSpec, check_number
 from .polygon import Polygon, arc_points
 
 #: Default polygonization tolerance: max chord-sagitta error in mm.
@@ -421,15 +421,11 @@ def membrane_curvature(pressure_kpa: float, tension_n_per_mm: float) -> float:
         curvature = 1e-3 * P / T
 
     Raises:
-        NonpositiveTension: when tension <= 0.
-        ValueError: when pressure is negative, or either input is
-            non-finite or not a number.
+        ValueError: when pressure is negative, tension is not positive,
+            or either input is non-finite or not a number.
     """
     pressure_kpa = check_number(pressure_kpa, "pressure", "non-negative")
-    tension_n_per_mm = check_number(tension_n_per_mm, "tension", "finite")
-    if tension_n_per_mm <= 0.0:
-        raise NonpositiveTension(
-            f"tension must be positive, got {tension_n_per_mm!r}")
+    tension_n_per_mm = check_number(tension_n_per_mm, "tension", "positive")
     return 1e-3 * pressure_kpa / tension_n_per_mm
 
 

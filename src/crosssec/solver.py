@@ -12,16 +12,15 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from ._arcmath import (center_area, center_area_derivative, check_arc,
-                       strip_fit_residual)
+from ._arcmath import center_area, check_arc, strip_fit_residual
 from .errors import NoBracket, NonConvergence, OracleMismatch, check_number
 from .geometry import CrossSection, FabricationParams, \
     DEFAULT_ARC_RESOLUTION, _assemble
 
 __all__ = [
-    "OracleResult", "center_area", "center_area_derivative",
-    "solve_center_arc_angle", "solve_side_height", "forward_geometry",
-    "area_max_oracle", "MAX_GRID_POINTS",
+    "OracleResult", "center_area", "solve_center_arc_angle",
+    "solve_side_height", "forward_geometry", "area_max_oracle",
+    "MAX_GRID_POINTS",
 ]
 
 #: End clearance of the oracle grid (rad).

@@ -336,3 +336,40 @@ class TestCliEdges:
         assert proc.returncode == 0, proc.stderr
         h_s = json.loads(proc.stdout)["spec"]["H_s_mm"]
         assert h_s == _printed(reference_side_height(127.0, 126.999999999))
+
+
+def reference_areas(case, section):
+    """The side area ``r_s^2 / 2 (theta_s - sin theta_s)`` and the total
+    ``A_c + 2 A_s`` of ``case``, at 60 digits."""
+    guess = section.center.arc_angle, section.side.arc_angle
+    with mp.workdps(60):
+        exact = reference_forward(*(mp.mpf(v) for v in case), guess)
+        theta_s = exact["theta_s"]
+        side = (exact["H_s"] / 2) ** 2 / 2 * (theta_s - mp.sin(theta_s))
+        return side, exact["A_c"] + 2 * side
+
+
+#: The sampled side area's envelope (1e-4 mm sagitta): -10.5 % in the side
+#: area and -2.5 % in the total at S1 x 1e-5, -7.9e-4 in the total at
+#: S1 x 1e-3, and -25 % in the side area as L -> S_s-, the two-chord floor
+#: of ``arc_points``; the absolute side error stays under 0.01 mm^2.  The
+#: change that makes the side area closed form (ROADMAP item 3) removes
+#: the markers.
+SAMPLED_AREA = pytest.mark.xfail(
+    strict=True, reason="side area is sampled at a fixed sagitta")
+
+
+class TestSampledSideArea:
+    @SAMPLED_AREA
+    def test_micrometre_total(self):
+        case = tuple(1e-5 * v for v in (152.0, 127.0, 76.2))
+        section = forward_geometry(FabricationParams(*case))
+        _, total = reference_areas(case, section)
+        assert rel_err(section.total_area, float(total)) < 1e-6
+
+    @SAMPLED_AREA
+    def test_side_area_as_strip_nears_side_arc(self):
+        case = (152.4, 127.0, 127.0 * (1 - 1e-12))
+        section = forward_geometry(FabricationParams(*case))
+        side, _ = reference_areas(case, section)
+        assert rel_err(section.side.area, float(side)) < 1e-6

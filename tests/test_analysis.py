@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,20 @@ class TestErgonomicIndex:
         assert report.slope == 0.0
         assert math.isinf(report.index)
 
+    def test_circular_section_infinite(self):
+        # the side circle is centred on the axis, so the run from side
+        # peak to center peak is 0; heights one ulp apart must not divide
+        section = forward_geometry(FabricationParams(
+            181.43819228650707, 190.12759025662473, 170.30714884663942))
+        assert section.side.center_x == 0.0
+        r_c = section.center.radius
+        bumped = replace(section, center=replace(
+            section.center, radius=math.nextafter(r_c, math.inf)))
+        report = ergonomic_index(bumped)
+        assert report.center_peak[1] != report.side_peak[1]
+        assert report.slope == 0.0
+        assert math.isinf(report.index)
+
 
 class TestSweep:
     def test_two_by_two_contains_structures(self):
@@ -59,7 +74,14 @@ class TestSweep:
         records = sweep_constant_perimeter(200.0, [100.0, 150.0], [10.0])
         assert all(not r.feasible for r in records)
         assert all(r.center_height is None for r in records)
-        assert all("side arc length" in r.failure_reason for r in records)
+        assert [r.failure_reason for r in records] == [
+            "side_arc_length must be positive and finite, got 0.0",
+            "side_arc_length must be positive and finite, got -50.0"]
+
+    def test_negative_strip_width_takes_the_length_check(self):
+        (rec,) = sweep_constant_perimeter(558.0, [152.0], [-1.0])
+        assert rec.failure_reason == (
+            "strip_width must be non-negative and finite, got -1.0")
 
     def test_solver_failure_recorded_not_raised(self):
         # L exceeds the side arc length: side channel has no solution

@@ -124,6 +124,15 @@ class TestForwardShape:
         doc = json.loads(out.stdout)
         assert doc["spec"] == {"H_c_mm": 1.0, "H_s_mm": 1.0, "w_mm": 3.0}
 
+    def test_circular_section(self, capsys):
+        # H_c = H_s = w: the side circle is centred on the axis
+        assert cli.main(["forward", "--sc", "181.43819228650707",
+                         "--ss", "190.12759025662473",
+                         "--l", "170.30714884663942"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["side"]["center_x_mm"] == 0.0
+        assert doc["ergonomic_index"] == "inf"
+
     def test_missing_param(self):
         out = run_cli("forward", "--sc", 152, "--l", 76.2)
         assert out.returncode == 1

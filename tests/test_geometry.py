@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crosssec.errors import InfeasibleSpec, NonpositiveTension
+from crosssec.errors import InfeasibleSpec
 from crosssec.geometry import (CenterChannel, DesignSpec, FabricationParams,
                                build_cross_section, cross_section_outline,
                                feasibility_discriminant, inverse_design,
@@ -348,8 +348,15 @@ class TestMembraneCurvature:
         assert membrane_curvature(2.07, tension) * r_c == pytest.approx(
             1.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "tension", [0.0, -0.0, -1.0, math.nan, math.inf, None, True, "1"])
+    def test_tension_refused(self, tension):
+        with pytest.raises(ValueError, match="tension must be"):
+            membrane_curvature(2.07, tension)
+
     def test_validation(self):
-        with pytest.raises(NonpositiveTension):
+        with pytest.raises(ValueError,
+                           match="tension must be positive and finite, got 0.0"):
             membrane_curvature(2.07, 0.0)
         with pytest.raises(ValueError):
             membrane_curvature(-1.0, 1.0)
