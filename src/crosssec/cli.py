@@ -23,12 +23,12 @@ from pathlib import Path
 from .analysis import area_ratio, eversion_force, sweep_constant_perimeter
 from .errors import (DegeneratePolygon, InfeasibleSpec, OracleMismatch,
                      SolverError, check_number)
-from .geometry import (DEFAULT_ARC_RESOLUTION, _channels, build_cross_section,
-                       inverse_design, validate_spec)
+from .geometry import (DEFAULT_ARC_RESOLUTION, DesignSpec, FabricationParams,
+                       _channels, build_cross_section, inverse_design,
+                       validate_spec)
 from .render import render_svg
-from .serialize import (fab_from_dict, fab_to_dict, oracle_to_dict,
-                        read_outline_csv, report_to_dict, section_to_dict,
-                        spec_from_dict, sweep_to_csv, to_json)
+from .serialize import (fab_to_dict, oracle_to_dict, read_outline_csv,
+                        report_to_dict, section_to_dict, sweep_to_csv, to_json)
 from .solver import area_max_oracle, forward_geometry
 
 PROG = "crosssec"
@@ -176,48 +176,46 @@ def _resolve_job(args, config: dict) -> dict:
             if value is not None or not key.startswith("output.")}
 
 
-#: Config section -> what it is and its parser; its flags and fields are
-#: its flag group's.
-_RECORDS = {
-    "spec": ("spec", spec_from_dict),
-    "fab": ("fab params", fab_from_dict),
-}
-
-
-def _fields(job: dict, section: str) -> dict:
-    """The job's values of one config section, by field name."""
-    return {key.partition(".")[2]: value for key, value in job.items()
-            if key.partition(".")[0] == section}
-
-
-def _record(job: dict, section: str):
-    """The spec or fab params from the job's fields of that section."""
-    what, from_dict = _RECORDS[section]
-    fields = _fields(job, section)
-    if not fields:
-        options = "/".join(option for option, _, _, _ in _FLAGS[section])
-        raise ValueError(
-            f"no {what} given: use {options} or a config {section!r}")
-    return from_dict(fields)
-
-
 def _needed(job: dict, mode: str, *keys) -> list:
-    """The job's values of ``keys``, each of which ``mode`` needs."""
-    for key in keys:
-        if job.get(key) is None:
-            option = next(option for group in _MODES[mode][1]
-                          for option, row_key, _, _ in _FLAGS[group]
-                          if row_key == key)
-            raise ValueError(f"{mode} needs {option} or config {key}")
+    """The job's values of ``keys``, each of which ``mode`` needs, or
+    ValueError naming every one not given."""
+    missing = [key for key in keys if job.get(key) is None]
+    if missing:
+        raise ValueError(f"{mode} needs {_names(mode, missing)}")
     return [job[key] for key in keys]
 
 
-# Each command takes the resolved job, whose every value is checked, and
-# computes; it returns the stdout text with the section an SVG output
-# draws (None where the mode has none).
+def _names(mode: str, keys) -> str:
+    """``keys`` as ``mode`` takes them: their flags, or their config keys."""
+    options = {key: option for group in _MODES[mode][1]
+               for option, key, _, _ in _FLAGS[group]}
+    return (f"{', '.join(options[key] for key in keys)} "
+            f"or config {', '.join(keys)}")
 
-def _cmd_inverse(job):
-    spec = _record(job, "spec")
+
+def _keys(group: str) -> list:
+    """The config keys of a flag group, in its records' field order."""
+    return [key for _, key, _, _ in _FLAGS[group]]
+
+
+def _section(job: dict, mode: str):
+    """The section of the job's fab params, or of its spec where ``mode``
+    reads a spec and the job gives no fab key (``force`` reads both)."""
+    resolution = job.get("arc_resolution_mm", DEFAULT_ARC_RESOLUTION)
+    if ("spec" not in _MODES[mode][1]
+            or any(key in job for key in _keys("fab"))):
+        fab = FabricationParams(*_needed(job, mode, *_keys("fab")))
+        return forward_geometry(fab, resolution)
+    spec = DesignSpec(*_needed(job, mode, *_keys("spec")))
+    return build_cross_section(spec, resolution)
+
+
+# Each command takes the resolved job, whose every value is checked, and
+# its mode, and computes; it returns the stdout text with the section an
+# SVG output draws (None where the mode has none).
+
+def _cmd_inverse(job, mode):
+    spec = DesignSpec(*_needed(job, mode, *_keys("spec")))
     report = validate_spec(spec)
     if not report.feasible:
         # the one failure with stdout: the report says which conditions
@@ -240,38 +238,31 @@ def _cmd_inverse(job):
     }), None
 
 
-def _cmd_forward(job):
-    section = forward_geometry(_record(job, "fab"), job.get(
-        "arc_resolution_mm", DEFAULT_ARC_RESOLUTION))
+def _cmd_section(job, mode):
+    section = _section(job, mode)
     return to_json(section_to_dict(section)), section
 
 
-def _cmd_shape(job):
-    section = build_cross_section(_record(job, "spec"), job.get(
-        "arc_resolution_mm", DEFAULT_ARC_RESOLUTION))
-    return to_json(section_to_dict(section)), section
-
-
-def _cmd_sweep(job):
-    records = sweep_constant_perimeter(*_needed(
-        job, "sweep", "sweep.perimeter_mm", "sweep.S_c_mm", "sweep.L_mm"))
+def _cmd_sweep(job, mode):
+    records = sweep_constant_perimeter(*_needed(job, mode, *_keys("sweep")))
     return sweep_to_csv(records), None
 
 
-def _cmd_oracle(job):
-    s_c, strip = _needed(job, "oracle", "fab.S_c_mm", "fab.L_mm")
+def _cmd_oracle(job, mode):
+    s_c, strip = _needed(job, mode, "fab.S_c_mm", "fab.L_mm")
     # the output echoes the values as checked (grid_points 1e4 as 10000)
     grid_points = job.get("oracle.grid_points", 1_000_000)
     result = area_max_oracle(s_c, strip, grid_points)
     return to_json(oracle_to_dict(s_c, strip, grid_points, result)), None
 
 
-def _cmd_compare(job):
-    outline_path, = _needed(job, "compare", "compare.outline_csv")
-    fab = _record(job, "fab")
+def _cmd_compare(job, mode):
+    outline_path, *_ = _needed(job, mode, "compare.outline_csv",
+                               *_keys("fab"))
+    # the outline is read before the solve: a bad outline exits 1 even
+    # where the fab params do not solve
     measured = read_outline_csv(outline_path)
-    section = forward_geometry(fab, job.get(
-        "arc_resolution_mm", DEFAULT_ARC_RESOLUTION))
+    section = _section(job, mode)
     return to_json({
         "measured_area_mm2": measured.signed_area(),
         "model_area_mm2": section.total_area,
@@ -279,20 +270,15 @@ def _cmd_compare(job):
     }), None
 
 
-def _cmd_force(job):
-    pressure, = _needed(job, "force", "force.pressure_kpa")
+def _cmd_force(job, mode):
+    pressure, = _needed(job, mode, "force.pressure_kpa")
     area = job.get("force.area_mm2")
     if area is None:
-        resolution = job.get("arc_resolution_mm", DEFAULT_ARC_RESOLUTION)
-        # the record any of whose flags or fields were given, fab first
-        if _fields(job, "fab"):
-            area = forward_geometry(_record(job, "fab"), resolution).total_area
-        elif _fields(job, "spec"):
-            area = build_cross_section(_record(job, "spec"),
-                                       resolution).total_area
-        else:
-            raise ValueError(
-                "force needs an area: --area-mm2, fab params or a spec")
+        if not any(key in job for key in _keys("fab") + _keys("spec")):
+            raise ValueError(f"{mode} needs {_names(mode, ['force.area_mm2'])}"
+                             f"; or {_names(mode, _keys('fab'))}"
+                             f"; or {_names(mode, _keys('spec'))}")
+        area = _section(job, mode).total_area
     return to_json({
         "pressure_kpa": pressure,
         "area_mm2": area,
@@ -306,9 +292,9 @@ _MODES = {
     "inverse": ("closed-form fabrication parameters for a spec",
                 ("spec", "json"), _cmd_inverse),
     "forward": ("solve inflated geometry from fabrication parameters",
-                ("fab", "arc_resolution_mm", "json", "svg"), _cmd_forward),
+                ("fab", "arc_resolution_mm", "json", "svg"), _cmd_section),
     "shape": ("full inflated geometry for a spec",
-              ("spec", "arc_resolution_mm", "json", "svg"), _cmd_shape),
+              ("spec", "arc_resolution_mm", "json", "svg"), _cmd_section),
     "sweep": ("constant-perimeter design sweep to CSV",
               ("sweep", "csv"), _cmd_sweep),
     "oracle": ("brute-force area-maximum check for one (S_c, L)",
@@ -330,7 +316,7 @@ def main(argv=None) -> int:
             raise ValueError(
                 f"config mode {config['mode']!r} does not match subcommand {args.mode!r}")
         job = _resolve_job(args, config)
-        text, section = _MODES[args.mode][2](job)
+        text, section = _MODES[args.mode][2](job, args.mode)
         # files first, stdout last: a failed write leaves stdout empty
         for kind in _OUTPUTS:
             path = job.get(f"output.{kind}")

@@ -33,9 +33,6 @@ _BOUNDARY_RTOL = 1e-12
 
 _FULL_TURN = 2.0 * math.pi
 
-#: Roundoff by which a full-circle side arc angle may exceed 2 pi.
-_FULL_TURN_SLACK = 4.0 * math.ulp(_FULL_TURN)
-
 
 def _check_fields(record, kind, *names):
     # check_number on each field of a frozen record, storing its result
@@ -486,11 +483,10 @@ def _channels(fab: FabricationParams, center_height: float, side_height: float,
             f"a channel radius rounds to 0 at H_c = {h!r} mm, H_s = {s!r} mm")
     theta_c = fab.center_arc_length / r_c
     width_c = h * math.sin(fab.center_arc_length / h)
-    theta_s = fab.side_arc_length / r_s
-    if _FULL_TURN < theta_s <= _FULL_TURN + _FULL_TURN_SLACK:
-        # zero strip width: the side arc closes a full circle, and the
-        # division above can round past 2 pi by an ulp or two
-        theta_s = _FULL_TURN
+    # the side solve's half-angle is at most pi, so past 2 pi is roundoff
+    # of a full circle (zero strip width): a few ulps, or far more where
+    # a subnormal H_s keeps only a few bits
+    theta_s = min(fab.side_arc_length / r_s, _FULL_TURN)
     width = width_c + 2.0 * _side_width(r_s, theta_s)
     if spec is None:
         spec = DesignSpec(h, s, width)

@@ -147,20 +147,6 @@ def fab_to_dict(fab: FabricationParams) -> dict:
     }
 
 
-def spec_from_dict(data: dict) -> DesignSpec:
-    try:
-        return DesignSpec(data["H_c_mm"], data["H_s_mm"], data["w_mm"])
-    except KeyError as exc:
-        raise ValueError(f"spec is missing field {exc.args[0]!r}") from exc
-
-
-def fab_from_dict(data: dict) -> FabricationParams:
-    try:
-        return FabricationParams(data["S_c_mm"], data["S_s_mm"], data["L_mm"])
-    except KeyError as exc:
-        raise ValueError(f"fab is missing field {exc.args[0]!r}") from exc
-
-
 def report_to_dict(report: FeasibilityReport) -> dict:
     return {
         "feasible": report.feasible,

@@ -123,6 +123,17 @@ class TestSweep:
                                      [50.8])
         assert solved == []
 
+    @pytest.mark.xfail(strict=True, reason="a sweep cell samples a side "
+                       "area it never prints, at a fixed sagitta")
+    def test_cell_too_large_to_sample_still_solves(self):
+        # the cell at 1e9 times paper scale: its heights solve, but its
+        # side arc needs more than 2**22 chords at 1e-4 mm
+        (small,) = sweep_constant_perimeter(2e3, [1e2], [1e2])
+        (large,) = sweep_constant_perimeter(2e12, [1e11], [1e11])
+        assert large.feasible, large.failure_reason
+        assert rel_err(large.center_height, 1e9 * small.center_height) < 1e-12
+        assert rel_err(large.side_height, 1e9 * small.side_height) < 1e-12
+
 
 class TestEversionForce:
     def test_reference_value(self):

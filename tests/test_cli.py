@@ -826,7 +826,8 @@ class TestForce:
 
 class TestSubnormalSections:
     """A section whose channel radius rounds to 0 ends in one line and
-    exit 1 in every mode that builds one; a sweep records its cell."""
+    exit 1 in every mode that builds one; a sweep records its cell.  A
+    little above that, a full-circle side arc still builds."""
 
     @pytest.mark.parametrize("argv", [
         ["forward", "--sc", "5e-324", "--ss", "5e-324", "--l", "0"],
@@ -847,6 +848,14 @@ class TestSubnormalSections:
         header, row = capsys.readouterr().out.splitlines()
         assert row.split(",")[7] == "false"
         assert "a channel radius rounds to 0" in row
+
+    def test_full_circle_side_above_the_smallest_lengths(self, capsys):
+        # H_s keeps only a few bits here, so S_s / (H_s / 2) passes 2 pi
+        # by 4e-4 relative; the side arc is still the full circle
+        assert cli.main(["forward", "--sc", "1e-320", "--ss", "1e-320",
+                         "--l", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["side"]["arc_angle_rad"] == float(f"{2.0 * math.pi:.9g}")
 
 
 class TestUsage:

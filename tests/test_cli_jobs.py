@@ -2,6 +2,7 @@
 flags and config keys each mode takes, and files written before stdout."""
 
 import json
+import math
 import re
 
 import pytest
@@ -388,6 +389,83 @@ def test_null_field_exit_1(tmp_path, capsys, mode, config, key):
     assert out == ""
     message = _NULL_MESSAGES.get(key, f"{key} must be a number")
     assert err == f"crosssec: error: {message}, got None\n"
+
+
+#: Mode -> the flags it is given besides a record, and the record's
+#: flags; force takes either record where it is given no area.
+_RECORD_RUNS = [
+    ("inverse", (), SPEC_190),
+    ("forward", (), S1_FAB),
+    ("shape", (), SPEC_190),
+    ("compare", S1_COMPARE[:2], S1_FAB),
+    ("force", S1_FORCE[:2], S1_FAB),
+    ("force", S1_FORCE[:2], SPEC_190),
+]
+
+
+def _missing_cases():
+    for mode, given, record in _RECORD_RUNS:
+        pairs = list(zip(record[::2], record[1::2]))
+        for dropped in pairs:
+            kept = [part for pair in pairs if pair != dropped for part in pair]
+            yield pytest.param([mode, *given, *kept], [dropped[0]],
+                               id=f"{mode}-without-{dropped[0]}")
+        named = [flag for flag, _ in pairs]
+        if mode == "force":
+            # no record at all: the area or either record
+            named = ["--area-mm2", *S1_FAB[::2], *SPEC_190[::2]]
+        yield pytest.param([mode, *given], named,
+                           id=f"{mode}-without-{'-'.join(record[::2])}")
+
+
+class TestMissingInputs:
+    @pytest.mark.parametrize("argv, named", _missing_cases())
+    def test_one_line_names_the_missing_flags(self, capsys, argv, named):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"crosssec: error: {argv[0]} needs ")
+        assert re.findall(r"--[a-z][a-z0-9-]*", err) == named
+
+
+#: Values no config record field may take (null: test_null_field_exit_1).
+_NOT_FIELDS = [True, "1", [1.0], 10**400, math.nan, math.inf, -1]
+
+
+class TestConfigRecords:
+    # a config section is read into its record field by field, each value
+    # checked as its flag's
+    @pytest.mark.parametrize("mode, section, record", [
+        ("shape", "spec", _SPEC), ("forward", "fab", _FAB)])
+    def test_written_record_read_back(self, tmp_path, capsys, mode, section,
+                                      record):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({section: record}), encoding="utf-8")
+        assert cli.main([mode, "--config", str(job)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)[section] == record
+        assert cli.main([mode, *(SPEC_190 if section == "spec"
+                                 else S1_FAB)]) == 0
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("mode, key, value", [
+        pytest.param(mode, f"{section}.{field}", value,
+                     id=f"{section}.{field}-{value!r:.12}")
+        for mode, section, record in (("shape", "spec", _SPEC),
+                                      ("forward", "fab", _FAB))
+        for field in record for value in _NOT_FIELDS])
+    def test_bad_field_exit_1(self, tmp_path, capsys, mode, key, value):
+        section, _, field = key.partition(".")
+        config = {section: dict(_SPEC if section == "spec" else _FAB)}
+        config[section][field] = value
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main([mode, "--config", str(job)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"crosssec: error: {key} ")
 
 
 class TestCappedSolve:

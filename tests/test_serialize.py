@@ -14,12 +14,10 @@ from conftest import REPO
 from crosssec import serialize
 
 from crosssec.analysis import SweepRecord, sweep_constant_perimeter
-from crosssec.geometry import DesignSpec, FabricationParams
+from crosssec.geometry import FabricationParams
 from crosssec.render import render_svg
-from crosssec.serialize import (SWEEP_CSV_HEADER, fab_from_dict, fab_to_dict,
-                                fmt, read_outline_csv, section_to_dict,
-                                spec_from_dict, spec_to_dict, sweep_to_csv,
-                                to_json)
+from crosssec.serialize import (SWEEP_CSV_HEADER, fmt, read_outline_csv,
+                                section_to_dict, sweep_to_csv, to_json)
 from crosssec.solver import forward_geometry
 
 
@@ -207,26 +205,6 @@ class TestJsonDifferential:
 
 
 class TestDictConversions:
-    def test_spec_round_trip(self):
-        spec = DesignSpec(101.6, 50.8, 190.0)
-        assert spec_from_dict(spec_to_dict(spec)) == spec
-
-    def test_fab_round_trip(self):
-        fab = FabricationParams(152.0, 127.0, 76.2)
-        assert fab_from_dict(fab_to_dict(fab)) == fab
-
-    def test_missing_field(self):
-        with pytest.raises(ValueError, match="missing field 'w_mm'"):
-            spec_from_dict({"H_c_mm": 1.0, "H_s_mm": 1.0})
-        with pytest.raises(ValueError, match="missing field 'L_mm'"):
-            fab_from_dict({"S_c_mm": 1.0, "S_s_mm": 1.0})
-
-    def test_non_numeric_field(self):
-        with pytest.raises(ValueError):
-            spec_from_dict({"H_c_mm": None, "H_s_mm": 1.0, "w_mm": 3.0})
-        with pytest.raises(ValueError):
-            spec_from_dict({"H_c_mm": "tall", "H_s_mm": 1.0, "w_mm": 3.0})
-
     def test_section_dict_shape(self, s1_section):
         doc = section_to_dict(s1_section)
         assert sorted(doc) == ["area_total_mm2", "center", "ergonomic_index",
