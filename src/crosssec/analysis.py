@@ -172,6 +172,8 @@ def area_ratio(measured: Polygon, section: CrossSection) -> float:
 
     Raises:
         DegeneratePolygon: non-positive area or self-intersecting outline.
+        ValueError: the section's total area is not positive and finite
+            (it underflows to 0 at subnormal lengths).
     """
     signed = measured.signed_area()
     if signed <= 0.0:
@@ -179,4 +181,8 @@ def area_ratio(measured: Polygon, section: CrossSection) -> float:
             f"measured outline has non-positive area {signed:.9g}")
     if not measured.is_simple():
         raise DegeneratePolygon("measured outline crosses itself")
-    return signed / total_area(section)
+    model = total_area(section)
+    if not 0.0 < model < math.inf:
+        raise ValueError(f"model area {model!r} mm^2 is not positive and "
+                         "finite")
+    return signed / model

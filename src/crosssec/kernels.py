@@ -1,15 +1,13 @@
 """Grid-scan kernel for the brute-force area-maximum oracle.
 
 Finds the maximum of the center-channel area over a uniform grid in
-float64: the angles below ``SERIES_CUTOFF`` whole, and above it only the
-blocks that two levels of a curvature bound keep, each grid value through
-the same operations as in a whole-grid scan (see
-:func:`center_area_grid_argmax`).  Scans go in pieces of at most ``CHUNK``
+float64: it scans only the blocks that two levels of a curvature bound
+keep, each grid value through the same operations as in a whole-grid scan
+(see :func:`center_area_grid_argmax`).  Scans go in pieces of at most ``CHUNK``
 points and hold under four ``CHUNK`` float64 arrays (2 MB), each level of
 the bound about ``CHUNK // 8`` samples plus two per run.
 """
 
-import bisect
 import math
 
 import numpy as np
@@ -24,27 +22,23 @@ CHUNK = 1 << 16
 
 def _area_chunk(s, l, theta, out, tmp):
     # Area = s^2 (theta - sin theta)/theta^2 + 2 s l sin(theta/2)/theta,
-    # written into ``out``; ``tmp`` is scratch of the same length.
-    np.sin(theta, out=out)
-    np.subtract(theta, out, out=out)
-    np.multiply(theta, theta, out=tmp)
-    np.divide(out, tmp, out=out)
-    np.multiply(s * s, out, out=out)
-    np.multiply(0.5, theta, out=tmp)
-    np.sin(tmp, out=tmp)
-    np.divide(tmp, theta, out=tmp)
-    np.multiply(s * l, tmp, out=tmp)
-    np.add(tmp, tmp, out=tmp)  # doubled last: 2 s l can overflow first
-    np.add(out, tmp, out=out)
-
-
-def _split(lo, step, n):
-    # (series, bounded): the monotone grid's index ranges below the cutoff
-    # (a prefix or a suffix) and from it up, bisected on its own arithmetic
-    first = lo + step * 0.0 < SERIES_CUTOFF
-    i = bisect.bisect_left(range(n), True, key=lambda j: first != (
-        lo + step * float(j) < SERIES_CUTOFF))
-    return ((0, i), (i, n)) if first else ((i, n), (0, i))
+    # by series_area below SERIES_CUTOFF, written into ``out``; ``tmp`` is
+    # scratch of the same length, and the angles are monotone.
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at theta = 0
+        np.sin(theta, out=out)
+        np.subtract(theta, out, out=out)
+        np.multiply(theta, theta, out=tmp)
+        np.divide(out, tmp, out=out)
+        np.multiply(s * s, out, out=out)
+        np.multiply(0.5, theta, out=tmp)
+        np.sin(tmp, out=tmp)
+        np.divide(tmp, theta, out=tmp)
+        np.multiply(s * l, tmp, out=tmp)
+        np.add(tmp, tmp, out=tmp)  # doubled last: 2 s l can overflow first
+        np.add(out, tmp, out=out)
+    if min(theta[0], theta[-1]) < SERIES_CUTOFF:  # the smallest is at an end
+        small = theta < SERIES_CUTOFF
+        out[small] = series_area(s, l, theta[small])
 
 
 def _join(runs):
@@ -75,6 +69,8 @@ def _refine(s, l, lo, step, runs, size, top):
             h = np.abs(theta[1:] - theta[:-1])
             bound = m * (h * h / 8.0 + 2.0 ** -26)
             bound += np.maximum(area[:-1], area[1:])
+            # below 0 the series is not the area: those blocks are kept
+            bound[np.minimum(theta[:-1], theta[1:]) < 0.0] = math.inf
             keep = np.flatnonzero(~((bound < top) & np.isfinite(bound)))
         kept += [(int(i[k]), int(i[k + 1]) + 1) for k in keep]
     return _join(kept), top
@@ -94,15 +90,7 @@ def _scan_chunks(s, l, lo, step, runs):
             np.add(index[:m], start, out=t)
             np.multiply(step, t, out=t)
             np.add(lo, t, out=t)
-            # the grid is monotone, so its smallest angle is at an end
-            if min(t[0], t[-1]) < SERIES_CUTOFF:
-                small = t < SERIES_CUTOFF
-                # theta = 0 gives 0/0 here; the series overwrites it below
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    _area_chunk(s, l, t, a, tmp[:m])
-                a[small] = series_area(s, l, t[small])
-            else:
-                _area_chunk(s, l, t, a, tmp[:m])
+            _area_chunk(s, l, t, a, tmp[:m])
             j = int(np.argmax(a))
             value = float(a[j])
             if value != value:
@@ -122,15 +110,14 @@ def center_area_grid_argmax(arc_length, strip_width, n, lo, hi):
     Areas are computed at ``(s, l)`` scaled by the power of two ``2**-k``
     that brings ``s`` into [0.5, 1), so none overflows: ``|s l| < |l|``,
     and ``s l`` is formed before it is doubled.  The area returned is
-    scaled back by ``4**k`` (inf on overflow).  The angles below
-    ``SERIES_CUTOFF`` (a prefix or a suffix) are scanned whole, the rest is
-    one run.  Each of two levels samples its runs every ``B`` points and at
-    their last, and keeps each block between neighbouring samples whose
+    scaled back by ``4**k`` (inf on overflow).  The whole grid is the
+    first run.  Each of two levels samples its runs every ``B`` points and
+    at their last, and keeps each block between neighbouring samples whose
     bound is at least the top sample so far or not finite (a NaN sample
-    keeps all); the kept blocks, both samples included and joined, are the
-    next runs, and the last are scanned.  ``B`` is the largest power of two
-    up to ``n**(2/3)``, then ``n**(1/3)``, or the runs' points over ``CHUNK
-    // 8`` if larger.
+    keeps all), or that has an end below 0; the kept blocks, both samples
+    included and joined, are the next runs, and the last are scanned.
+    ``B`` is the largest power of two up to ``n**(2/3)``, then
+    ``n**(1/3)``, or the runs' points over ``CHUNK // 8`` if larger.
 
     The bound: ``a(t) = (t - sin t) / t**2 = int_0^1 (1 - x) sin(t x) dx``
     and ``b(t) = sin(t / 2) / t = int_0^1 cos(t x / 2) dx / 2``, so
@@ -144,13 +131,19 @@ def center_area_grid_argmax(arc_length, strip_width, n, lo, hi):
     is within ``2**-47 t``, ``a`` within ``2**-47 / t + 2**-51 < 2**-33``
     (``t >= 1e-4``), ``s**2 a`` within ``2**-32 s**2 / 3``, ``2 s l b``
     within ``2**-47 |s l|`` (``sin``, a quotient, two products; ``|b| <=
-    1/2``) and their sum within ``2**-32 (s**2 + |s l|) < E``.  So a
-    block's areas lie below ``max(a, b) + M h**2 / 8 + 2 E`` for its
-    computed end areas ``a``, ``b``.  The bound adds ``4 E = 2**-26 M``;
-    its rounding costs under ``2**-49 (12 M + M h**2 / 8 + M) < 2 E`` while
-    ``h < 2**10``, and a wider block's bound exceeds all its areas (``|A|
-    < 12 M``).  The top sample is the exact pass's area at its index, so a
-    skipped block holds neither the maximum nor a tie of it.
+    1/2``) and their sum within ``2**-32 (s**2 + |s l|) < E``.  Below the
+    cutoff, from 0 up, ``series_area`` is off by under ``t**7 / 9!`` in
+    ``a`` and ``t**6 / 645120`` in ``b`` (alternating series), below
+    ``1e-28``, and its rounding by a few ulps of ``s**2 + |s l|``, so it
+    too is within ``E`` of ``A``.  Below 0 the series is a polynomial, not
+    ``A``, whose curvature can pass ``M``, so those blocks are kept.  So
+    any other block's areas lie below ``max(a, b) + M h**2 / 8 + 2 E``
+    for its computed end areas ``a``, ``b``.  The bound adds ``4 E =
+    2**-26 M``; its rounding costs under ``2**-49 (12 M + M h**2 / 8 + M)
+    < 2 E`` while ``h < 2**10``, and a wider block's bound exceeds all its
+    areas (``|A| < 12 M``).  The top sample is the exact pass's area at
+    its index, so a skipped block holds neither the maximum nor a tie of
+    it.
 
     Raises:
         ValueError: ``n < 2``, ``s`` zero or not finite, ``l`` not
@@ -165,12 +158,10 @@ def center_area_grid_argmax(arc_length, strip_width, n, lo, hi):
                          f"l * 2**-k finite, got s={s!r}, l={l!r}")
     s, l = math.ldexp(s, -k), math.ldexp(l, -k)
     step = (hi - lo) / (n - 1)
-    series, bounded = _split(lo, step, n)
-    runs, top, third = [bounded], -math.inf, math.log2(n) / 3
+    runs, top, third = [(0, n)], -math.inf, math.log2(n) / 3
     for block in (1 << int(2 * third), 1 << int(third)):
-        if bounded[1] - bounded[0] > 1:  # else scanned whole
-            runs, top = _refine(s, l, lo, step, runs, block, top)
-    i, best = _scan_chunks(s, l, lo, step, _join(sorted([series, *runs])))
+        runs, top = _refine(s, l, lo, step, runs, block, top)
+    i, best = _scan_chunks(s, l, lo, step, runs)
     with np.errstate(over="ignore"):
         best = float(np.ldexp(best, 2 * k))
     return i, lo + step * i, best

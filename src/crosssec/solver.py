@@ -189,11 +189,11 @@ def area_max_oracle(arc_length: float, strip_width: float,
     (1e-6, 2*pi - 1e-6) rad and compares the raw grid argmax against the
     analytic root, clamped to that span (a root below 1e-6 rad, from a
     strip far wider than the arc, is compared with the first grid angle).
-    The scan (:mod:`crosssec.kernels`) takes the angles below 1e-4 rad
-    whole.  Above them it samples the area every ``grid_points**(2/3)``
-    or so angles, then every ``grid_points**(1/3)`` or so inside the
-    blocks that the area's curvature does not rule out, and scans only
-    the few blocks left, scaled so that no area over- or underflows; the
+    The scan (:mod:`crosssec.kernels`) samples the area every
+    ``grid_points**(2/3)`` or so angles, then every
+    ``grid_points**(1/3)`` or so inside the blocks that the area's
+    curvature does not rule out, and scans only the few blocks left,
+    scaled so that no area over- or underflows; the
     argmax is bit for bit that of a float64 scan of the whole grid.  Its
     buffers hold about 2 MB at most, and ties keep the smallest angle.
 

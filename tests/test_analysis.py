@@ -212,6 +212,16 @@ class TestAreaRatio:
         with pytest.raises(DegeneratePolygon, match="non-positive"):
             area_ratio(backwards, s1_section)
 
+    @pytest.mark.parametrize("fab", [(1e-320, 1e-320, 0.0),
+                                     (1e-170, 1e-170, 1e-171)])
+    def test_model_area_underflow_rejected(self, fab):
+        # the section builds, but its total area underflows to 0
+        section = forward_geometry(FabricationParams(*fab))
+        assert total_area(section) == 0.0
+        outline = Polygon([(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(ValueError, match="not positive and finite"):
+            area_ratio(outline, section)
+
     def test_self_intersecting_rejected(self, s1_section):
         # lopsided figure-eight: positive net area but a proper crossing
         eight = Polygon([(0, 0), (6, 0), (0, 3), (3, 3)])

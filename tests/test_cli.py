@@ -718,6 +718,18 @@ class TestCompare:
         assert out.stderr.splitlines() == [
             "crosssec: error: polygon area overflows the float range"]
 
+    @pytest.mark.parametrize("fab", [("1e-320", "1e-320", "0"),
+                                     ("1e-170", "1e-170", "1e-171")])
+    def test_model_area_underflow_exit_1(self, capsys, fab):
+        # the section builds, but its total area underflows to 0
+        outline = str(REPO / "docs/examples/outline.csv")
+        assert cli.main(["compare", "--outline", outline, "--sc", fab[0],
+                         "--ss", fab[1], "--l", fab[2]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "crosssec: error: model area 0.0 mm^2 is not positive and finite"]
+
     def test_missing_outline_file_exit_1(self):
         out = run_cli("compare", "--outline", "no_such_file.csv",
                       "--sc", 152, "--ss", 127, "--l", 76.2)

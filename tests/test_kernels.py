@@ -99,59 +99,50 @@ def _joined(runs):
 
 
 def _two_levels(arc, strip, n, lo, hi):
-    # The scan's rule, restated on the whole-grid formula.  The angles
-    # below the series cutoff, a prefix or a suffix of the grid, form the
-    # series region, scanned whole; the rest is one run.  On each of two
-    # levels each run [a, b) is sampled at a, a + B, ..., b - 1, and the
-    # block between neighbouring samples ta, tb (h = |tb - ta|) is kept
-    # when max(A(ta), A(tb)) + M (h^2 / 8 + 2^-26), M = s (s + l) / 12, is
-    # at least the top sample so far or not finite (a NaN top keeps all);
-    # the kept blocks, both samples included and joined, are the next
-    # level's runs.  B is the largest power of two up to n^(2/3), then
-    # n^(1/3), or the runs' points over CHUNK // 8 if larger; (s, l) are
-    # scaled so that s lies in [0.5, 1).  Returns the series region, the
-    # sampled angles (once per level) and the runs the exact pass scans.
+    # The scan's rule, restated on the whole-grid formula.  The grid starts
+    # as one run.  On each of two levels each run [a, b) is sampled at a,
+    # a + B, ..., b - 1, and the block between neighbouring samples ta, tb
+    # (h = |tb - ta|) is kept when max(A(ta), A(tb)) + M (h^2 / 8 + 2^-26),
+    # M = s (s + l) / 12, is at least the top sample so far or not finite
+    # (a NaN top keeps all), or when ta or tb is below 0; the kept blocks,
+    # both samples included and joined, are the next level's runs.  B is
+    # the largest power of two up to n^(2/3), then n^(1/3), or the runs'
+    # points over CHUNK // 8 if larger; (s, l) are scaled so that s lies in
+    # [0.5, 1).  Returns the sampled angles (once per level) and the runs
+    # the exact pass scans.
     k = math.frexp(arc)[1]
     s, l = math.ldexp(arc, -k), math.ldexp(strip, -k)
     step = (hi - lo) / (n - 1)
     theta = lo + step * np.arange(n, dtype=np.float64)
-    below = np.flatnonzero(theta < kernels.SERIES_CUTOFF)
-    series = (int(below[0]), int(below[-1]) + 1) if below.size else (0, 0)
-    assert below.size == series[1] - series[0]
-    assert series[0] == 0 or series[1] == n
-    bounded = (series[1], n) if series[0] == 0 else (0, series[0])
-    samples, runs, top = [], [bounded], -math.inf
-    if bounded[1] - bounded[0] > 1:
-        third = math.log2(n) / 3
-        for block in (1 << int(2 * third), 1 << int(third)):
-            size = max(block, sum(b - a for a, b in runs)
-                       // max(1, kernels.CHUNK // 8))
-            kept = []
-            for a, b in runs:
-                at = [*range(a, b - 1, size), b - 1]
-                area = _area_grid(s, l, theta[at])
-                samples += theta[at].tolist()
-                top = np.max([top, *area])
-                h = np.abs(np.diff(theta[at]))
-                bound = np.maximum(area[:-1], area[1:]) + s * (s + l) / 12 * (
-                    h * h / 8 + 2.0**-26)
-                keep = (bound >= top) | ~np.isfinite(bound) | np.isnan(top)
-                kept += [(at[j], at[j + 1] + 1) for j in np.flatnonzero(keep)]
-            runs = _joined(kept)
-    return series, samples, _joined(sorted([series, *runs]))
+    samples, runs, top = [], [(0, n)], -math.inf
+    third = math.log2(n) / 3
+    for block in (1 << int(2 * third), 1 << int(third)):
+        size = max(block, sum(b - a for a, b in runs)
+                   // max(1, kernels.CHUNK // 8))
+        kept = []
+        for a, b in runs:
+            at = [*range(a, b - 1, size), b - 1]
+            area = _area_grid(s, l, theta[at])
+            samples += theta[at].tolist()
+            top = np.max([top, *area])
+            h = np.abs(np.diff(theta[at]))
+            bound = np.maximum(area[:-1], area[1:]) + s * (s + l) / 12 * (
+                h * h / 8 + 2.0**-26)
+            keep = (bound >= top) | ~np.isfinite(bound) | np.isnan(top)
+            keep |= np.minimum(theta[at][:-1], theta[at][1:]) < 0
+            kept += [(at[j], at[j + 1] + 1) for j in np.flatnonzero(keep)]
+        runs = _joined(kept)
+    return samples, runs
 
 
 def _check_passes(bound, exact, arc, strip, n, lo, hi):
     # every sample of each level is evaluated exactly once, exactly the
     # runs _two_levels keeps get one exact scan, in pieces of CHUNK points,
-    # those runs are disjoint and hold the series region (so it is
-    # scanned exactly once), and something is skipped
-    series, samples, runs = _two_levels(arc, strip, n, lo, hi)
+    # those runs are disjoint, and something is skipped
+    samples, runs = _two_levels(arc, strip, n, lo, hi)
     assert bound == collections.Counter(samples)
     assert exact == _pieces(runs, n, lo, hi)
     assert all(b < c for (_, b), (c, _) in zip(runs, runs[1:]))
-    assert series[0] == series[1] or any(
-        a <= series[0] and series[1] <= b for a, b in runs)
     assert sum(b - a for a, b in runs) < n
     return runs
 
@@ -211,14 +202,17 @@ class TestChunkedScan:
     @pytest.mark.parametrize("arc,strip", CASES)
     def test_grid_straddling_series_cutoff(self, monkeypatch, arc, strip,
                                            n):
-        # the series region, a third of the grid, is scanned whole, the
-        # rest only where the two levels of the bound keep it
+        # a third of the grid lies below the cutoff, where the areas are
+        # series; the bound samples and skips blocks on both sides of it
         lo, hi = 1e-7, 3e-4
         assert lo < kernels.SERIES_CUTOFF < hi
         passes = _record_passes(monkeypatch)
         got = kernels.center_area_grid_argmax(arc, strip, n, lo, hi)
-        _check_passes(*passes, arc, strip, n, lo, hi)
+        runs = _check_passes(*passes, arc, strip, n, lo, hi)
         assert got == reference_argmax(arc, strip, n, lo, hi)
+        grid = lo + (hi - lo) / (n - 1) * np.arange(n)
+        below = np.count_nonzero(grid < kernels.SERIES_CUTOFF)
+        assert sum(max(0, min(b, below) - a) for a, b in runs) < below
 
     def test_tie_across_chunk_boundary_keeps_first_index(self, monkeypatch):
         # a step of 1/5 ulp repeats each angle about five times, so the
@@ -235,7 +229,7 @@ class TestChunkedScan:
         area = _area_grid(arc, strip, lo + step * np.arange(n))
         ties = np.flatnonzero(area == want[2])
         assert ties[0] == want[0]
-        assert _two_levels(arc, strip, n, lo, hi)[2] == [(0, n)]
+        assert _two_levels(arc, strip, n, lo, hi)[1] == [(0, n)]
         size = _piece_size(n)
         assert ties[0] // size < ties[-1] // size
         assert kernels.center_area_grid_argmax(arc, strip, n, lo, hi) == want
@@ -389,11 +383,11 @@ class TestScanCost:
         monkeypatch.setattr(kernels, "CHUNK", 1 << 10)
         n = 2 * 10**6
         lo, hi = _narrow_grid(152.0, 76.2, 1e-12)
-        assert _two_levels(152.0, 76.2, n, lo, hi)[2] == [(0, n)]
+        assert _two_levels(152.0, 76.2, n, lo, hi)[1] == [(0, n)]
         assert _scan_peak(n, lo, hi) < 2**20
 
 
-class TestSeriesSplit:
+class TestSeriesCutoff:
     @settings(max_examples=120, deadline=None)
     @example(arc=152.0, share=0.5, n=2, level=0, blocks=0, offset=-1,
              step=1e-3, down=False)
@@ -412,10 +406,10 @@ class TestSeriesSplit:
                                      offset, step, down):
         # a grid whose last L angles (or, run downward, first L angles) lie
         # from the cutoff up: L = blocks * B + 1 + offset, B the block size
-        # of the bound's first or second level, so that the bounded
-        # region's last sample lands one point before, on or after a block
-        # end, or (level 0) L = 0, 1 or 2; with the series region the grid
-        # starts below 0 once it holds more than about 1e-4 / step angles
+        # of the bound's first or second level, so that the cutoff falls
+        # one point before, on or after a block end, or (level 0) L = 0, 1
+        # or 2; the grid starts below 0 once it holds more than about 1e-4
+        # / step angles below the cutoff
         third = math.log2(n) / 3
         size = (0, 1 << int(2 * third), 1 << int(third))[level]
         bounded = min(n, max(0, blocks * size + 1 + offset))
@@ -458,19 +452,26 @@ class TestBoundPass:
 
     @settings(max_examples=40, deadline=None)
     @example(s=0.5, rho=0.0, angles=[kernels.SERIES_CUTOFF])
-    @example(s=0.75, rho=4.0, angles=[kernels.SERIES_CUTOFF, 2.0 * math.pi])
-    @example(s=0.5, rho=2.0**100, angles=[kernels.SERIES_CUTOFF, 1e3])
+    @example(s=0.75, rho=4.0, angles=[1e-9, kernels.SERIES_CUTOFF,
+                                      2.0 * math.pi])
+    @example(s=0.5, rho=2.0**100, angles=[
+        1e-9, math.nextafter(kernels.SERIES_CUTOFF, 0.0), 1e3])
+    @example(s=math.nextafter(1.0, 0.0), rho=0.0,
+             angles=[math.nextafter(kernels.SERIES_CUTOFF, 0.0)])
     @given(s=st.floats(0.5, 1.0, exclude_max=True),
            rho=st.one_of(st.just(0.0), st.floats(2.0**-30, 2.0**100)),
-           angles=st.lists(st.floats(kernels.SERIES_CUTOFF, 1e3),
-                           min_size=1, max_size=16))
+           angles=st.lists(st.one_of(
+               st.floats(1e-9, 2.0 * kernels.SERIES_CUTOFF),
+               st.floats(kernels.SERIES_CUTOFF, 1e3)),
+               min_size=1, max_size=16))
     def test_float64_error_far_inside_the_slack(self, s, rho, angles):
         # _area_chunk at the scale the kernel scans (s in [0.5, 1), l = s
-        # rho / 2) against a 40-digit area, from the series cutoff up:
-        # within E / 64, where E = 2**-28 M is the error the bound's slack
-        # allows each computed area
+        # rho / 2) against a 40-digit area, by series below the cutoff and
+        # the closed form from it up: within E / 64, where E = 2**-28 M is
+        # the error the bound's slack allows each computed area
         mpmath = pytest.importorskip("mpmath")
         l = 0.5 * s * rho
+        angles = sorted(angles)  # _area_chunk takes monotone angles
         theta = np.array(angles)
         got = np.empty_like(theta)
         kernels._area_chunk(s, l, theta, got, np.empty_like(theta))
@@ -513,6 +514,17 @@ class TestBoundPass:
         got = kernels.center_area_grid_argmax(arc, arc * share, n, lo,
                                               lo + span)
         assert got == _scaled_reference(arc, arc * share, n, lo, lo + span)
+
+    @pytest.mark.parametrize("lo,hi", [(-28.5, 2.0 * math.pi),
+                                       (2.0 * math.pi, -28.75)])
+    def test_blocks_below_zero_are_kept(self, lo, hi):
+        # below 0 the series is a polynomial, not the area: here its peak
+        # near -13.86 rad, curved about 2.8 M, tops the area's maximum
+        # near 0.27 rad but lies between first-level samples that the
+        # bound, without the rule that keeps blocks below 0, would skip
+        got = kernels.center_area_grid_argmax(0.75, 5.46, 20_000, lo, hi)
+        assert got == _scaled_reference(0.75, 5.46, 20_000, lo, hi)
+        assert got[1] == pytest.approx(-13.86, abs=2e-3)
 
     @pytest.mark.parametrize("arc,strip", [
         (1.0, 2.0**100), (3.0, 2.0**600), (1e-300, 1e-300 * 2.0**1000),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from crosssec import cli, solver
-from crosssec.errors import InfeasibleSpec, NoBracket, NonConvergence
+from crosssec.errors import (InfeasibleSpec, NoBracket, NonConvergence,
+                            OracleMismatch)
 from crosssec.geometry import FabricationParams
 from crosssec.solver import (OracleResult, area_max_oracle, forward_geometry,
                              solve_center_arc_angle, solve_side_height)
@@ -209,6 +210,16 @@ class TestAreaMaxOracle:
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError, match="grid_points >= 1000"):
             area_max_oracle(152.0, 76.2, grid_points=10)
+
+    @pytest.mark.xfail(strict=True, raises=OracleMismatch, reason=(
+        "D11: near the maximum the float64 areas tie over more than one "
+        "grid step, so the argmax lands 6.73e-08 from the root against a "
+        "6.28e-08 step; ROADMAP item 5 allows for the ties and removes "
+        "this marker"))
+    def test_float_ties_at_the_largest_grid(self):
+        result = area_max_oracle(5.851191599851277, 1.972885156618516,
+                                 grid_points=10**8)
+        assert result.agreement
 
     def test_root_below_first_grid_angle_agrees(self):
         # the root 2 S_c / L = 2e-8 lies below the first grid angle, more
